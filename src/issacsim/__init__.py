@@ -21,7 +21,6 @@ from .array_channel import (
 )
 from .errors import EstimationError
 from .estimators import (
-    ChannelEstimate,
     ClosedFormPredictions,
     SnrReport,
     closed_form_predictions,
@@ -29,10 +28,8 @@ from .estimators import (
     estimate_gain_los,
     estimate_gains_multipath,
     ls_conventional,
-    mmse_closed_forms,
     mrc_beamformer,
     snr_cp_approx,
-    beam_mismatch_snr,
 )
 from .simharness import (
     CdfSeries,

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _HALF_PI = np.pi / 2.0
+# Rejection-sampling attempts before a separation constraint counts as
+# infeasible.
+_MAX_ANGLE_DRAWS = 500
 
 
 def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0) -> np.ndarray:
@@ -126,7 +129,6 @@ class AnglePolicy:
     high: float = np.pi / 3.0
     min_sin_sep: float = float(np.sin(np.deg2rad(5.0)))
     fixed: Optional[tuple] = None
-    max_draws: int = 500
 
     def __post_init__(self):
         _check_angle(self.low)
@@ -144,8 +146,8 @@ def sample_angles(num_paths: int, rng: np.random.Generator,
                   policy: AnglePolicy = AnglePolicy()) -> np.ndarray:
     """Draw ``num_paths`` angles under ``policy`` (sorted ascending).
 
-    Raises RuntimeError if the separation constraint cannot be met within
-    ``policy.max_draws`` attempts.
+    Raises ValueError if the separation constraint cannot be met within
+    ``_MAX_ANGLE_DRAWS`` attempts, taking the policy to be infeasible.
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
@@ -154,13 +156,14 @@ def sample_angles(num_paths: int, rng: np.random.Generator,
             raise ValueError(
                 f"policy fixes {len(policy.fixed)} angles but {num_paths} paths requested")
         return np.asarray(policy.fixed, dtype=float)
-    for _ in range(policy.max_draws):
+    for _ in range(_MAX_ANGLE_DRAWS):
         draws = np.sort(rng.uniform(policy.low, policy.high, size=num_paths))
         if num_paths == 1 or np.min(np.diff(np.sin(draws))) >= policy.min_sin_sep:
             return draws
-    raise RuntimeError(
+    raise ValueError(
         f"could not draw {num_paths} angles with sine separation "
-        f">= {policy.min_sin_sep:.4f} in {policy.max_draws} attempts")
+        f">= {policy.min_sin_sep:.4f} in {_MAX_ANGLE_DRAWS} attempts; "
+        "the separation is infeasible for the angle range")
 
 
 def sample_gains(num_paths: int, rng: np.random.Generator,
@@ -213,19 +216,10 @@ class TransmissionConfig:
         object.__setattr__(self, "data_len", int(self.data_len))
 
 
-def generate_pilot_sequence(pilot_len: int, rng: Optional[np.random.Generator] = None,
-                            random_phase: bool = False) -> np.ndarray:
-    """Unit-modulus pilot symbols with total energy exactly ``pilot_len``.
-
-    Default is the all-ones sequence; ``random_phase=True`` draws i.i.d.
-    phases from ``rng`` instead.
-    """
+def generate_pilot_sequence(pilot_len: int) -> np.ndarray:
+    """All-ones pilot symbols: unit modulus, total energy exactly ``pilot_len``."""
     if pilot_len < 1:
         raise ValueError("pilot_len must be >= 1")
-    if random_phase:
-        if rng is None:
-            raise ValueError("random_phase pilots need an rng")
-        return np.exp(2j * np.pi * rng.uniform(size=pilot_len))
     return np.ones(pilot_len, dtype=np.complex128)
 
 
@@ -233,36 +227,26 @@ def generate_pilot_sequence(pilot_len: int, rng: Optional[np.random.Generator] =
 class ReceivedBlock:
     """One coherence block of observations at the array.
 
-    ``pilot_obs`` is M x pilot_len, ``data_obs`` is M x data_len. The
-    transmitted data symbols are retained only so tests can check the
-    noiseless reconstruction; estimators never look at them.
+    ``pilot_obs`` is M x pilot_len, ``data_obs`` is M x data_len.
     """
 
     pilot_obs: np.ndarray
     data_obs: np.ndarray
     pilot_seq: np.ndarray
-    data_syms: np.ndarray
-    pilot_power: float
-    data_power: float
-    noise_var: float
 
     def __post_init__(self):
         pilot_obs = np.asarray(self.pilot_obs, dtype=np.complex128)
         data_obs = np.asarray(self.data_obs, dtype=np.complex128)
         pilot_seq = np.asarray(self.pilot_seq, dtype=np.complex128)
-        data_syms = np.asarray(self.data_syms, dtype=np.complex128)
         if pilot_obs.ndim != 2 or data_obs.ndim != 2:
             raise ValueError("observation matrices must be two-dimensional")
         if pilot_obs.shape[0] != data_obs.shape[0]:
             raise ValueError("pilot and data observations disagree on antenna count")
         if pilot_seq.shape != (pilot_obs.shape[1],):
             raise ValueError("pilot_seq length must match pilot_obs columns")
-        if data_syms.shape != (data_obs.shape[1],):
-            raise ValueError("data_syms length must match data_obs columns")
         object.__setattr__(self, "pilot_obs", pilot_obs)
         object.__setattr__(self, "data_obs", data_obs)
         object.__setattr__(self, "pilot_seq", pilot_seq)
-        object.__setattr__(self, "data_syms", data_syms)
 
     @property
     def num_antennas(self) -> int:
@@ -302,12 +286,4 @@ def simulate_reception(h: np.ndarray, config: TransmissionConfig,
     data_noise = complex_normal(rng, (num_antennas, config.data_len), var=config.noise_var)
     pilot_obs = np.sqrt(config.pilot_power) * np.outer(h, pilot_seq) + pilot_noise
     data_obs = np.sqrt(config.data_power) * np.outer(h, data_syms) + data_noise
-    return ReceivedBlock(
-        pilot_obs=pilot_obs,
-        data_obs=data_obs,
-        pilot_seq=pilot_seq,
-        data_syms=data_syms,
-        pilot_power=config.pilot_power,
-        data_power=config.data_power,
-        noise_var=config.noise_var,
-    )
+    return ReceivedBlock(pilot_obs=pilot_obs, data_obs=data_obs, pilot_seq=pilot_seq)

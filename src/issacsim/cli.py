@@ -25,19 +25,14 @@ from .array_channel import AnglePolicy
 from .simharness import (
     SWEEP_AXES,
     ExperimentSpec,
+    _from_db,
+    _to_db,
     collect_trials,
     draw_realization,
     run_sweep,
     snr_cdfs,
 )
-from .subspace import (
-    bartlett_spectrum,
-    find_peaks,
-    forward_backward_smooth,
-    music_spectrum,
-    sample_covariance,
-    subarray_covariances,
-)
+from .subspace import bartlett_spectrum, sample_covariance, scan_angles
 
 __all__ = ["main", "load_run_config", "build_spec"]
 
@@ -61,7 +56,7 @@ def _parse_power(text: str) -> float:
     """Linear ratio from either a bare number or '<x> dB'."""
     stripped = text.strip()
     if stripped.lower().endswith("db"):
-        return float(10.0 ** (float(stripped[:-2].strip()) / 10.0))
+        return _from_db(float(stripped[:-2].strip()))
     return float(stripped)
 
 
@@ -185,16 +180,13 @@ def build_spec(cfg: Dict[str, str],
         kwargs["sweep_values"] = values
 
     ceiling = float(cfg.get("max_failure_rate", DEFAULT_MAX_FAILURE_RATE))
+    if not 0.0 <= ceiling <= 1.0:
+        raise ValueError(f"max_failure_rate must lie in [0, 1], got {ceiling}")
     return ExperimentSpec(**kwargs), ceiling
 
 
 def _fmt(value: float) -> str:
     return "%.12g" % float(value)
-
-
-def _to_db(value: float) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(10.0 * np.log10(value))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]],
@@ -235,6 +227,9 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
     spec, ceiling = build_spec(load_run_config(args.config), args)
     trials = collect_trials(spec)
     failures = sum(t.failed for t in trials)
+    if failures == len(trials):
+        print(f"error: all {failures} trials failed; no CDF written", file=sys.stderr)
+        return 1
     series = snr_cdfs(trials)
     cp, lp = series["conventional"], series["issac"]
     rows = [
@@ -263,19 +258,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec, _ = build_spec(load_run_config(args.config), args)
     _, _, block = draw_realization(spec, 0)
     grid = spec.angle_grid()
-    grid_deg = np.rad2deg(grid)
-    bartlett = bartlett_spectrum(sample_covariance(block), grid)
-    columns = [grid_deg, bartlett.values]
+    peaks = scan_angles(block, spec.num_paths, grid, spec.multipath, spec.num_subarrays)
+    columns = [np.rad2deg(grid), bartlett_spectrum(sample_covariance(block), grid).values]
     header = ["angle_deg", "bartlett"]
     if spec.multipath:
-        smoothed = forward_backward_smooth(
-            subarray_covariances(block, spec.subarray_plan()))
-        music = music_spectrum(smoothed, spec.num_paths, grid)
-        columns.append(music.values)
+        columns.append(peaks.spectrum.values)
         header.append("music")
-        peaks = find_peaks(music, spec.num_paths)
-    else:
-        peaks = find_peaks(bartlett, spec.num_paths)
     _write_csv(Path(args.out), header, list(zip(*columns)))
     peak_list = ", ".join(f"{v:.3f}" for v in np.rad2deg(peaks.angles))
     print(f"estimated angles (deg): {peak_list}")

@@ -14,7 +14,7 @@ post-combining receive SNR of the conventional route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,40 +22,20 @@ from .array_channel import ReceivedBlock, UlaGeometry, steering_matrix, steering
 from .errors import EstimationError
 
 __all__ = [
-    "ChannelEstimate",
     "SnrReport",
     "ClosedFormPredictions",
     "ls_conventional",
     "mrc_beamformer",
     "empirical_snr",
     "snr_cp_approx",
-    "mmse_closed_forms",
     "estimate_gain_los",
     "estimate_gains_multipath",
-    "beam_mismatch_snr",
     "closed_form_predictions",
 ]
-
-METHOD_CONVENTIONAL = "conventional"
-METHOD_ISSAC_LOS = "issac_los"
-METHOD_ISSAC_MULTIPATH = "issac_multipath"
 
 # Relative condition limit on the gain Gram system before two estimated
 # angles are declared collided.
 GRAM_COND_LIMIT = 1e8
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Estimated channel vector plus how it was obtained."""
-
-    h_hat: np.ndarray
-    method: str
-    angles_used: Optional[np.ndarray] = None
-    gains_used: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "h_hat", np.asarray(self.h_hat, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -83,7 +63,7 @@ class ClosedFormPredictions:
     xi: float
 
 
-def ls_conventional(block: ReceivedBlock, pilot_power: float) -> ChannelEstimate:
+def ls_conventional(block: ReceivedBlock, pilot_power: float) -> np.ndarray:
     """Least-squares channel estimate from the pilot observations.
 
     Correlates the pilot columns with the conjugate pilot sequence and
@@ -94,16 +74,15 @@ def ls_conventional(block: ReceivedBlock, pilot_power: float) -> ChannelEstimate
     rho = block.pilot_len
     if rho < 1:
         raise ValueError("conventional LS needs at least one pilot symbol")
-    h_hat = block.pilot_obs @ block.pilot_seq.conj() / np.sqrt(pilot_power * rho**2)
-    return ChannelEstimate(h_hat=h_hat, method=METHOD_CONVENTIONAL)
+    return block.pilot_obs @ block.pilot_seq.conj() / np.sqrt(pilot_power * rho**2)
 
 
-def mrc_beamformer(estimate: ChannelEstimate) -> np.ndarray:
+def mrc_beamformer(h_hat: np.ndarray) -> np.ndarray:
     """Unit-norm maximum-ratio combiner matched to a channel estimate."""
-    norm = np.linalg.norm(estimate.h_hat)
+    norm = np.linalg.norm(h_hat)
     if norm == 0:
         raise ValueError("cannot beamform toward a zero channel estimate")
-    return estimate.h_hat / norm
+    return h_hat / norm
 
 
 def empirical_snr(beamformer: np.ndarray, h: np.ndarray, data_power: float,
@@ -133,26 +112,6 @@ def snr_cp_approx(num_antennas: int, pilot_len: int, snr_t: float,
     return upper * (1.0 - xi), xi
 
 
-def mmse_closed_forms(num_antennas: int, num_paths: int, pilot_power: float,
-                      pilot_len: int, noise_var: float, method: str) -> float:
-    """Expected squared channel-estimation error for the given method.
-
-    conventional: M * noise_var / (pilot_power * pilot_len)
-    issac_los:        noise_var / (pilot_power * pilot_len)
-    issac_multipath: L * noise_var / (pilot_power * pilot_len)
-    """
-    if pilot_power <= 0 or pilot_len <= 0:
-        raise ValueError("pilot_power and pilot_len must be positive")
-    base = noise_var / (pilot_power * pilot_len)
-    if method == METHOD_CONVENTIONAL:
-        return num_antennas * base
-    if method == METHOD_ISSAC_LOS:
-        return base
-    if method == METHOD_ISSAC_MULTIPATH:
-        return num_paths * base
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _beamformed_pilot_projection(block: ReceivedBlock, weights: np.ndarray,
                                  pilot_power: float) -> np.ndarray:
     """Project beamformed pilot outputs onto the conjugate pilot sequence.
@@ -168,12 +127,12 @@ def _beamformed_pilot_projection(block: ReceivedBlock, weights: np.ndarray,
 
 
 def estimate_gain_los(block: ReceivedBlock, theta_hat: float,
-                      pilot_power: float) -> Tuple[complex, ChannelEstimate]:
+                      pilot_power: float) -> Tuple[complex, np.ndarray]:
     """Single-path gain from pilots beamformed toward ``theta_hat``.
 
     The beamformed, pilot-projected output is divided by sqrt(M), which is
-    exact when the beam matches the true angle; the estimate is
-    alpha_hat * a(theta_hat).
+    exact when the beam matches the true angle. Returns alpha_hat and the
+    channel estimate alpha_hat * a(theta_hat).
     """
     geom = UlaGeometry(block.num_antennas)
     steer = steering_vector(geom, theta_hat)
@@ -181,27 +140,19 @@ def estimate_gain_los(block: ReceivedBlock, theta_hat: float,
     projected = _beamformed_pilot_projection(
         block, steer.conj()[None, :] / np.sqrt(m), pilot_power)
     alpha_hat = complex(projected[0] / np.sqrt(m))
-    h_hat = alpha_hat * steer
-    estimate = ChannelEstimate(
-        h_hat=h_hat,
-        method=METHOD_ISSAC_LOS,
-        angles_used=np.array([theta_hat]),
-        gains_used=np.array([alpha_hat]),
-    )
-    return alpha_hat, estimate
+    return alpha_hat, alpha_hat * steer
 
 
 def estimate_gains_multipath(block: ReceivedBlock, thetas_hat: Sequence[float],
-                             pilot_power: float,
-                             cond_limit: float = GRAM_COND_LIMIT
-                             ) -> Tuple[np.ndarray, ChannelEstimate]:
+                             pilot_power: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per-path gains from pilots beamformed toward ``thetas_hat``.
 
     Beams are the matched steering vectors scaled by 1/sqrt(M); the
     projected outputs feed an L x L solve against the steering Gram matrix
     (angles assumed accurate, so the Gram of the estimated angles stands in
-    for the true one). A Gram condition number above ``cond_limit`` means
-    two estimated angles collided and raises EstimationError.
+    for the true one). A Gram condition number above ``GRAM_COND_LIMIT``
+    means two estimated angles collided and raises EstimationError. Returns
+    the gains and the channel estimate A(thetas_hat) @ gains.
     """
     geom = UlaGeometry(block.num_antennas)
     steer = steering_matrix(geom, thetas_hat)
@@ -209,54 +160,35 @@ def estimate_gains_multipath(block: ReceivedBlock, thetas_hat: Sequence[float],
     if steer.shape[1] > m:
         raise ValueError("more paths than antennas")
     gram = steer.conj().T @ steer
-    if np.linalg.cond(gram) > cond_limit:
+    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
         raise EstimationError("estimated angles collided; gain system is singular")
     projected = _beamformed_pilot_projection(block, steer.conj().T / np.sqrt(m),
                                              pilot_power)
     gains = np.sqrt(m) * np.linalg.solve(gram, projected)
-    h_hat = steer @ gains
-    estimate = ChannelEstimate(
-        h_hat=h_hat,
-        method=METHOD_ISSAC_MULTIPATH,
-        angles_used=np.asarray(thetas_hat, dtype=float),
-        gains_used=gains,
-    )
-    return gains, estimate
-
-
-def beam_mismatch_snr(theta_hat: float, theta: float, data_power: float,
-                      h_norm_sq: float, noise_var: float, num_antennas: int) -> float:
-    """Expected receive SNR of a single-path channel under an angle-matched beam.
-
-    Scales the matched-filter bound by the squared normalized beam overlap
-    |a(theta_hat)^H a(theta)|^2 / M^2; a perfect angle estimate attains the
-    bound, a sine-domain offset of 2k/M nulls it.
-    """
-    geom = UlaGeometry(num_antennas)
-    overlap = np.vdot(steering_vector(geom, theta_hat), steering_vector(geom, theta))
-    loss = np.abs(overlap) ** 2 / num_antennas**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = float(np.divide(data_power * h_norm_sq, noise_var))
-    return upper * loss
+    return gains, steer @ gains
 
 
 def closed_form_predictions(num_antennas: int, num_paths: int, pilot_power: float,
                             pilot_len: int, noise_var: float, data_power: float,
-                            multipath: bool,
-                            expected_h_norm_sq: Optional[float] = None
-                            ) -> ClosedFormPredictions:
+                            multipath: bool) -> ClosedFormPredictions:
     """Bundle all closed forms for one parameter point.
 
-    ``expected_h_norm_sq`` defaults to num_paths * num_antennas, the mean
-    channel energy under unit-variance path gains.
+    Expected squared estimation errors, with base = noise_var /
+    (pilot_power * pilot_len):
+
+    * conventional (e_cp):             M * base
+    * angle-then-gain, LoS (e_lp):         base
+    * angle-then-gain, multipath (e_lp): L * base
+
+    The SNR forms use the mean channel energy num_paths * num_antennas of
+    unit-variance path gains.
     """
-    if expected_h_norm_sq is None:
-        expected_h_norm_sq = float(num_paths * num_antennas)
-    method = METHOD_ISSAC_MULTIPATH if multipath else METHOD_ISSAC_LOS
-    e_cp = mmse_closed_forms(num_antennas, num_paths, pilot_power, pilot_len,
-                             noise_var, METHOD_CONVENTIONAL)
-    e_lp = mmse_closed_forms(num_antennas, num_paths, pilot_power, pilot_len,
-                             noise_var, method)
+    if pilot_power <= 0 or pilot_len <= 0:
+        raise ValueError("pilot_power and pilot_len must be positive")
+    base = noise_var / (pilot_power * pilot_len)
+    e_cp = num_antennas * base
+    e_lp = num_paths * base if multipath else base
+    expected_h_norm_sq = float(num_paths * num_antennas)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr_t = float(np.divide(pilot_power * expected_h_norm_sq,
                                 num_antennas * noise_var))

@@ -3,8 +3,7 @@
 Each trial draws a fresh channel and received block from a stream derived
 only from (base_seed, trial_index), runs both estimators on the identical
 block, and records squared errors and realized receive SNRs. Trials are
-therefore independent of execution order, so any parallel schedule yields
-the same aggregates as the sequential loop used here.
+therefore independent of execution order.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .array_channel import (
 )
 from .errors import EstimationError
 from .estimators import (
-    ChannelEstimate,
     ClosedFormPredictions,
     SnrReport,
     closed_form_predictions,
@@ -39,7 +37,7 @@ from .estimators import (
     ls_conventional,
     mrc_beamformer,
 )
-from .subspace import SubarrayPlan, make_angle_grid, scan_angles
+from .subspace import make_angle_grid, scan_angles
 
 __all__ = [
     "ExperimentSpec",
@@ -76,13 +74,16 @@ _DEFAULT_SWEEPS_COUNT = {
 }
 
 
-def _db_to_linear(db: float) -> float:
+# The one dB conversion pair of the package, shared with the CLI. Private so
+# that it stays out of __all__: the benchmark's tracer wraps every __all__
+# function, and a cdf run calls _to_db for every CSV row.
+def _from_db(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def _linear_to_db(x: float) -> float:
-    with np.errstate(divide="ignore"):
-        return float(10.0 * np.log10(x))
+def _to_db(value: float) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(10.0 * np.log10(value))
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,13 @@ class ExperimentSpec:
             values = tuple(float(v) for v in self.sweep_values)
             if not values:
                 raise ValueError("sweep_values must be nonempty when given")
+            if self.sweep_axis in _DEFAULT_SWEEPS_COUNT and not all(
+                    v.is_integer() for v in values):
+                raise ValueError(
+                    f"sweep_values on the {self.sweep_axis!r} axis must be integers")
             object.__setattr__(self, "sweep_values", values)
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-
-    @classmethod
-    def reference_preset(cls, **overrides) -> "ExperimentSpec":
-        """The named reference configuration (all defaults), with overrides."""
-        return cls(**overrides)
 
     @property
     def multipath(self) -> bool:
@@ -164,33 +164,22 @@ class ExperimentSpec:
     def angle_grid(self) -> np.ndarray:
         return make_angle_grid(self.grid_step_deg)
 
-    def subarray_plan(self) -> SubarrayPlan:
-        return SubarrayPlan.for_sources(self.num_antennas, self.num_paths,
-                                        self.num_subarrays)
-
-    def expected_h_norm_sq(self) -> float:
-        # Unit-variance gains make E||h||^2 = L * M under either gain policy.
-        return float(self.num_paths * self.num_antennas)
-
     def theory(self) -> ClosedFormPredictions:
         return closed_form_predictions(
             self.num_antennas, self.num_paths, self.pilot_pow, self.pilot_len,
-            self.noise_var, self.data_pow, self.multipath,
-            self.expected_h_norm_sq())
+            self.noise_var, self.data_pow, self.multipath)
 
 
 @dataclass(frozen=True)
 class TrialResult:
     """Outcome of one paired trial."""
 
-    trial_index: int
     h_norm_sq: float
     sq_error_cp: float
     snr_cp: float
     sq_error_lp: float
     snr_lp: float
     angles_true: np.ndarray
-    angles_est: Optional[np.ndarray]
     angle_errors: Optional[np.ndarray]
     failed: bool = False
     failure_reason: str = ""
@@ -225,12 +214,12 @@ def draw_realization(spec: ExperimentSpec, trial_index: int
 
 
 def _issac_estimate(spec: ExperimentSpec, block: ReceivedBlock,
-                    thetas_hat: np.ndarray) -> ChannelEstimate:
+                    thetas_hat: np.ndarray) -> np.ndarray:
     if spec.multipath:
-        _, estimate = estimate_gains_multipath(block, thetas_hat, spec.pilot_pow)
+        _, h_hat = estimate_gains_multipath(block, thetas_hat, spec.pilot_pow)
     else:
-        _, estimate = estimate_gain_los(block, float(thetas_hat[0]), spec.pilot_pow)
-    return estimate
+        _, h_hat = estimate_gain_los(block, float(thetas_hat[0]), spec.pilot_pow)
+    return h_hat
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
@@ -242,49 +231,41 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     paths, h, block = draw_realization(spec, trial_index)
     h_norm_sq = float(np.linalg.norm(h) ** 2)
 
-    est_cp = ls_conventional(block, spec.pilot_pow)
-    sq_error_cp = float(np.linalg.norm(est_cp.h_hat - h) ** 2)
-    snr_cp = empirical_snr(mrc_beamformer(est_cp), h, spec.data_pow, spec.noise_var)
+    h_cp = ls_conventional(block, spec.pilot_pow)
+    sq_error_cp = float(np.linalg.norm(h_cp - h) ** 2)
+    snr_cp = empirical_snr(mrc_beamformer(h_cp), h, spec.data_pow, spec.noise_var)
 
-    angles_est = None
     angle_errors = None
     try:
         if spec.angle_stage == "oracle":
             thetas_hat = paths.angles
         else:
-            plan = spec.subarray_plan() if spec.multipath else None
-            found = scan_angles(block, spec.num_paths, spec.angle_grid(),
-                                multipath=spec.multipath, plan=plan)
-            thetas_hat = found.angles
-            angles_est = thetas_hat
+            thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid(),
+                                     spec.multipath, spec.num_subarrays).angles
             angle_errors = match_angles(thetas_hat, paths.angles)
-        est_lp = _issac_estimate(spec, block, thetas_hat)
-        sq_error_lp = float(np.linalg.norm(est_lp.h_hat - h) ** 2)
-        snr_lp = empirical_snr(mrc_beamformer(est_lp), h, spec.data_pow, spec.noise_var)
+        h_lp = _issac_estimate(spec, block, thetas_hat)
+        sq_error_lp = float(np.linalg.norm(h_lp - h) ** 2)
+        snr_lp = empirical_snr(mrc_beamformer(h_lp), h, spec.data_pow, spec.noise_var)
     except EstimationError as exc:
         return TrialResult(
-            trial_index=trial_index,
             h_norm_sq=h_norm_sq,
             sq_error_cp=sq_error_cp,
             snr_cp=snr_cp,
             sq_error_lp=float("nan"),
             snr_lp=float("nan"),
             angles_true=paths.angles,
-            angles_est=angles_est,
             angle_errors=None,
             failed=True,
             failure_reason=str(exc),
         )
 
     return TrialResult(
-        trial_index=trial_index,
         h_norm_sq=h_norm_sq,
         sq_error_cp=sq_error_cp,
         snr_cp=snr_cp,
         sq_error_lp=sq_error_lp,
         snr_lp=snr_lp,
         angles_true=paths.angles,
-        angles_est=angles_est,
         angle_errors=angle_errors,
         failed=False,
     )
@@ -324,11 +305,6 @@ class CdfSeries:
     values: np.ndarray
     probabilities: np.ndarray
     percentiles: Dict[float, float]
-
-    def evaluate(self, x: float) -> float:
-        """Right-continuous step CDF at ``x``."""
-        idx = np.searchsorted(self.values, x, side="right")
-        return 0.0 if idx == 0 else float(self.probabilities[idx - 1])
 
 
 def empirical_cdf(values: Sequence[float],
@@ -382,7 +358,6 @@ class SweepResult:
 
     axis: Optional[str]
     points: Tuple[SweepPoint, ...]
-    spec: ExperimentSpec
 
 
 def _summarize(spec: ExperimentSpec, trials: Sequence[TrialResult],
@@ -453,7 +428,7 @@ def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec
 def default_sweep_values(axis: str) -> Tuple[float, ...]:
     """Default sweep grid per axis (linear power ratios for pt/pd)."""
     if axis in _DEFAULT_SWEEPS_DB:
-        return tuple(_db_to_linear(v) for v in _DEFAULT_SWEEPS_DB[axis])
+        return tuple(_from_db(v) for v in _DEFAULT_SWEEPS_DB[axis])
     if axis in _DEFAULT_SWEEPS_COUNT:
         return tuple(float(v) for v in _DEFAULT_SWEEPS_COUNT[axis])
     raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
@@ -472,6 +447,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     points = []
     for value in values:
         sub = _apply_axis(spec, axis, value)
-        display = _linear_to_db(value) if axis in ("pt", "pd") else float(value)
+        display = _to_db(value) if axis in ("pt", "pd") else float(value)
         points.append(_summarize(sub, collect_trials(sub), display))
-    return SweepResult(axis=axis, points=tuple(points), spec=spec)
+    return SweepResult(axis=axis, points=tuple(points))

@@ -234,10 +234,11 @@ def music_spectrum(cov: SampleCovariance, num_sources: int,
 
 @dataclass(frozen=True)
 class AngleEstimates:
-    """Peak angles of a pseudospectrum, sorted ascending."""
+    """Peak angles of a pseudospectrum, sorted ascending, with the spectrum."""
 
     angles: np.ndarray
     peak_values: np.ndarray
+    spectrum: Pseudospectrum
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
@@ -281,14 +282,12 @@ def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
     return float(grid[idx] + shift * half_span)
 
 
-def find_peaks(spectrum: Pseudospectrum, num_peaks: int,
-               refine: bool = True) -> AngleEstimates:
+def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
     """The ``num_peaks`` highest local maxima of a pseudospectrum.
 
-    Ties between equal peaks break toward the smaller angle. With
-    ``refine`` a quadratic fit through each peak and its neighbors replaces
-    the grid angle. Raises EstimationError when the spectrum has fewer
-    local maxima than requested.
+    Ties between equal peaks break toward the smaller angle. A quadratic
+    fit through each peak and its neighbors replaces the grid angle. Raises
+    EstimationError when the spectrum has fewer local maxima than requested.
     """
     grid, values = spectrum.grid, spectrum.values
     if num_peaks < 1:
@@ -300,27 +299,28 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int,
         raise EstimationError(
             f"found {len(maxima)} spectral peaks, need {num_peaks}")
     chosen = sorted(maxima, key=lambda k: (-values[k], k))[:num_peaks]
-    angles = np.array([_refine_peak(grid, values, k) if refine else grid[k]
-                       for k in chosen])
+    angles = np.array([_refine_peak(grid, values, k) for k in chosen])
     heights = values[chosen]
     order = np.argsort(angles)
-    return AngleEstimates(angles=angles[order], peak_values=heights[order])
+    return AngleEstimates(angles=angles[order], peak_values=heights[order],
+                          spectrum=spectrum)
 
 
 def scan_angles(block: ReceivedBlock, num_sources: int, grid: np.ndarray,
-                multipath: bool, plan: Optional[SubarrayPlan] = None,
-                refine: bool = True) -> AngleEstimates:
+                multipath: bool, num_subarrays: Optional[int]) -> AngleEstimates:
     """Full pilot-free angle stage on one received block.
 
     Single-path mode scans the Bartlett spectrum of the plain snapshot
-    covariance; multipath mode smooths subarray covariances and runs MUSIC.
+    covariance; multipath mode smooths the covariances of the subarray plan
+    ``SubarrayPlan.for_sources`` picks for ``num_subarrays`` (None: its
+    default count) and runs MUSIC.
+    The returned estimates carry the scanned spectrum.
     """
     if multipath:
-        if plan is None:
-            plan = SubarrayPlan.for_sources(block.num_antennas, num_sources)
+        plan = SubarrayPlan.for_sources(block.num_antennas, num_sources, num_subarrays)
         covs = subarray_covariances(block, plan)
         smoothed = forward_backward_smooth(covs)
         spectrum = music_spectrum(smoothed, num_sources, grid)
     else:
         spectrum = bartlett_spectrum(sample_covariance(block), grid)
-    return find_peaks(spectrum, num_sources, refine=refine)
+    return find_peaks(spectrum, num_sources)

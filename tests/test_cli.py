@@ -93,6 +93,15 @@ class TestConfigParsing:
         spec, _ = build_spec(load_run_config(cfg_path))
         assert spec.sweep_values == (8.0, 16.0)
 
+    @pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
+    def test_failure_ceiling_out_of_range_exits_2(self, tmp_path, capsys, value):
+        cfg_path = _write(tmp_path, "run.cfg", f"max_failure_rate = {value}\n")
+        code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                     "--trials", "1", "--oracle-angles"])
+        assert code == 2
+        assert "max_failure_rate" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSweepCommand:
     def test_csv_contract_and_round_trip(self, tmp_path):
@@ -157,11 +166,23 @@ class TestSweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_failure_ceiling_controls_exit_code(self, tmp_path):
-        cfg_path = _write(tmp_path, "run.cfg", "max_failure_rate = -0.5\n")
-        code = main(["sweep", "--config", cfg_path, "--out",
-                     str(tmp_path / "x.csv"), "--axis", "m", "--trials", "2",
-                     "--oracle-angles"])
-        assert code == 1
+        # a 30 deg grid holds too few MUSIC peaks, so every trial fails
+        cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\n")
+        args = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                "--axis", "m", "--trials", "2"]
+        assert main(args) == 1
+        cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\nmax_failure_rate = 1\n")
+        assert main(args) == 0
+
+    def test_fractional_count_sweep_exits_2(self, tmp_path, capsys):
+        for axis in ("m", "rho"):
+            cfg_path = _write(tmp_path, "run.cfg", f"axis = {axis}\nsweep_values = 16.7\n")
+            code = main(["sweep", "--config", cfg_path, "--out",
+                         str(tmp_path / "x.csv"), "--trials", "1", "--oracle-angles"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "integers" in err
 
 
 class TestCdfCommand:
@@ -184,6 +205,24 @@ class TestCdfCommand:
         code = main(["cdf", "--out", str(tmp_path / "x.csv"), "--trials", "0"])
         assert code == 2
         assert "num_trials" in capsys.readouterr().err
+
+    def test_infeasible_min_separation_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "run.cfg", "l = 3\nmin_sep_deg = 60\n")
+        code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                     "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "infeasible" in err
+
+    def test_all_trials_failed_exits_1_without_csv(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\n")
+        out = tmp_path / "x.csv"
+        code = main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "3"])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "all 3 trials failed" in err
 
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

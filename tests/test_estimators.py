@@ -18,17 +18,14 @@ from issacsim.array_channel import (
 )
 from issacsim.errors import EstimationError
 from issacsim.estimators import (
-    ChannelEstimate,
     SnrReport,
     closed_form_predictions,
     empirical_snr,
     estimate_gain_los,
     estimate_gains_multipath,
     ls_conventional,
-    mmse_closed_forms,
     mrc_beamformer,
     snr_cp_approx,
-    beam_mismatch_snr,
 )
 
 
@@ -59,9 +56,8 @@ class TestLsConventional:
         geom = UlaGeometry(6)
         h = synthesize_channel(geom, PathSet(angles=[0.2, -0.5], gains=[1.0, 2.0j]))
         block = _make_block(h, noise_var=0.0, pilot_power=0.3)
-        estimate = ls_conventional(block, 0.3)
-        np.testing.assert_allclose(estimate.h_hat, h, atol=1e-12)
-        assert estimate.method == "conventional"
+        h_hat = ls_conventional(block, 0.3)
+        np.testing.assert_allclose(h_hat, h, atol=1e-12)
 
     def test_monte_carlo_matches_closed_form(self):
         # lighter version of the acceptance run: 3000 trials, 5% tolerance
@@ -74,9 +70,8 @@ class TestLsConventional:
             config = TransmissionConfig(pilot_len=3, data_len=1,
                                         pilot_power=0.1, data_power=0.1)
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
-            estimate = ls_conventional(block, 0.1)
-            errors.append(np.linalg.norm(estimate.h_hat - h) ** 2)
-        expected = mmse_closed_forms(32, 3, 0.1, 3, 1.0, "conventional")
+            errors.append(np.linalg.norm(ls_conventional(block, 0.1) - h) ** 2)
+        expected = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True).e_cp
         assert expected == pytest.approx(320.0 / 3.0)
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
 
@@ -93,30 +88,28 @@ class TestLsConventional:
                                             pilot_power=0.2, data_power=0.2)
                 block = simulate_reception(h, config,
                                            generate_pilot_sequence(pilot_len), rng)
-                estimate = ls_conventional(block, 0.2)
-                errors.append(np.linalg.norm(estimate.h_hat - h) ** 2)
+                errors.append(np.linalg.norm(ls_conventional(block, 0.2) - h) ** 2)
             means.append(np.mean(errors))
         assert means[0] / means[1] == pytest.approx(2.0, rel=0.1)
 
     def test_zero_pilots_rejected(self):
         from issacsim.array_channel import ReceivedBlock
         block = ReceivedBlock(pilot_obs=np.zeros((2, 0)), data_obs=np.zeros((2, 1)),
-                              pilot_seq=np.zeros(0), data_syms=np.zeros(1),
-                              pilot_power=1.0, data_power=1.0, noise_var=1.0)
+                              pilot_seq=np.zeros(0))
         with pytest.raises(ValueError):
             ls_conventional(block, 1.0)
 
 
 class TestMrcBeamformer:
     def test_axis_aligned(self):
-        vec = mrc_beamformer(ChannelEstimate(h_hat=[2.0, 0.0], method="conventional"))
+        vec = mrc_beamformer(np.array([2.0, 0.0]))
         np.testing.assert_allclose(vec, [1.0, 0.0], atol=1e-15)
 
     def test_scale_invariant_overlap(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        base = mrc_beamformer(ChannelEstimate(h_hat=h, method="conventional"))
-        scaled = mrc_beamformer(ChannelEstimate(h_hat=3j * h, method="conventional"))
+        base = mrc_beamformer(h)
+        scaled = mrc_beamformer(3j * h)
         assert abs(np.vdot(base, h)) == pytest.approx(abs(np.vdot(scaled, h)), rel=1e-12)
 
     @given(seed=st.integers(0, 10**6), dim=st.integers(1, 32))
@@ -124,12 +117,12 @@ class TestMrcBeamformer:
     def test_unit_norm(self, seed, dim):
         rng = np.random.default_rng(seed)
         h_hat = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec = mrc_beamformer(ChannelEstimate(h_hat=h_hat, method="conventional"))
+        vec = mrc_beamformer(h_hat)
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
     def test_zero_estimate_rejected(self):
         with pytest.raises(ValueError):
-            mrc_beamformer(ChannelEstimate(h_hat=np.zeros(3), method="conventional"))
+            mrc_beamformer(np.zeros(3))
 
 
 class TestEmpiricalSnr:
@@ -188,16 +181,19 @@ class TestClosedForms:
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
 
     def test_mmse_values(self):
-        assert mmse_closed_forms(32, 3, 0.1, 3, 1.0, "conventional") == pytest.approx(320.0 / 3.0)
-        assert mmse_closed_forms(32, 3, 0.1, 3, 1.0, "issac_los") == pytest.approx(10.0 / 3.0)
-        assert mmse_closed_forms(32, 3, 0.1, 3, 1.0, "issac_multipath") == pytest.approx(10.0)
-        ratio = (mmse_closed_forms(32, 3, 0.1, 3, 1.0, "conventional")
-                 / mmse_closed_forms(32, 3, 0.1, 3, 1.0, "issac_los"))
-        assert ratio == pytest.approx(32.0)
+        multipath = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True)
+        los = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=False)
+        assert multipath.e_cp == pytest.approx(320.0 / 3.0)
+        assert los.e_cp == pytest.approx(320.0 / 3.0)
+        assert los.e_lp == pytest.approx(10.0 / 3.0)
+        assert multipath.e_lp == pytest.approx(10.0)
+        assert los.e_cp / los.e_lp == pytest.approx(32.0)
 
-    def test_unknown_method_rejected(self):
+    def test_nonpositive_pilot_rejected(self):
         with pytest.raises(ValueError):
-            mmse_closed_forms(32, 3, 0.1, 3, 1.0, "blind")
+            closed_form_predictions(32, 3, 0.0, 3, 1.0, 0.1, multipath=True)
+        with pytest.raises(ValueError):
+            closed_form_predictions(32, 3, 0.1, 0, 1.0, 0.1, multipath=True)
 
     def test_bundle_consistency(self):
         theory = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True)
@@ -213,10 +209,9 @@ class TestGainLos:
         alpha = 1.3 - 0.8j
         h = alpha * steering_vector(geom, theta)
         block = _make_block(h, noise_var=0.0, pilot_power=0.5)
-        alpha_hat, estimate = estimate_gain_los(block, theta, 0.5)
+        alpha_hat, h_hat = estimate_gain_los(block, theta, 0.5)
         assert alpha_hat == pytest.approx(alpha, rel=1e-12)
-        np.testing.assert_allclose(estimate.h_hat, h, atol=1e-12)
-        assert estimate.method == "issac_los"
+        np.testing.assert_allclose(h_hat, h, atol=1e-12)
 
     def test_mismatch_bias_closed_form(self):
         geom = UlaGeometry(8)
@@ -250,18 +245,18 @@ class TestGainLos:
             config = TransmissionConfig(pilot_len=3, data_len=1,
                                         pilot_power=0.1, data_power=0.1)
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
-            _, estimate = estimate_gain_los(block, theta, 0.1)
-            errors.append(np.linalg.norm(estimate.h_hat - h) ** 2)
-        expected = mmse_closed_forms(32, 1, 0.1, 3, 1.0, "issac_los")
+            _, h_hat = estimate_gain_los(block, theta, 0.1)
+            errors.append(np.linalg.norm(h_hat - h) ** 2)
+        expected = closed_form_predictions(32, 1, 0.1, 3, 1.0, 0.1, multipath=False).e_lp
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
 
     def test_reconstruction_identity(self):
         geom = UlaGeometry(8)
         h = 1.1j * steering_vector(geom, -0.3)
         block = _make_block(h, noise_var=1.0, seed=5)
-        alpha_hat, estimate = estimate_gain_los(block, -0.29, 0.1)
-        rebuilt = estimate.gains_used[0] * steering_vector(geom, estimate.angles_used[0])
-        np.testing.assert_allclose(estimate.h_hat, rebuilt, atol=1e-14)
+        alpha_hat, h_hat = estimate_gain_los(block, -0.29, 0.1)
+        rebuilt = alpha_hat * steering_vector(geom, -0.29)
+        np.testing.assert_allclose(h_hat, rebuilt, atol=1e-14)
 
 
 class TestGainsMultipath:
@@ -271,19 +266,18 @@ class TestGainsMultipath:
                         gains=[1.0, 0.5j, -0.7 + 0.2j])
         h = synthesize_channel(geom, paths)
         block = _make_block(h, noise_var=0.0, pilot_power=0.4)
-        gains, estimate = estimate_gains_multipath(block, paths.angles, 0.4)
+        gains, h_hat = estimate_gains_multipath(block, paths.angles, 0.4)
         np.testing.assert_allclose(gains, paths.gains, atol=1e-10)
-        np.testing.assert_allclose(estimate.h_hat, h, atol=1e-9)
-        assert estimate.method == "issac_multipath"
+        np.testing.assert_allclose(h_hat, h, atol=1e-9)
 
     def test_single_path_reduces_to_los_route(self):
         geom = UlaGeometry(8)
         h = (0.4 - 1.2j) * steering_vector(geom, 0.15)
         block = _make_block(h, noise_var=1.0, seed=9)
-        alpha_los, est_los = estimate_gain_los(block, 0.15, 0.1)
-        gains_mp, est_mp = estimate_gains_multipath(block, [0.15], 0.1)
+        alpha_los, h_los = estimate_gain_los(block, 0.15, 0.1)
+        gains_mp, h_mp = estimate_gains_multipath(block, [0.15], 0.1)
         assert gains_mp[0] == pytest.approx(alpha_los, rel=1e-12)
-        np.testing.assert_allclose(est_mp.h_hat, est_los.h_hat, rtol=1e-12)
+        np.testing.assert_allclose(h_mp, h_los, rtol=1e-12)
 
     def test_monte_carlo_matches_closed_form(self):
         geom = UlaGeometry(32)
@@ -296,9 +290,9 @@ class TestGainsMultipath:
             config = TransmissionConfig(pilot_len=3, data_len=1,
                                         pilot_power=0.1, data_power=0.1)
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
-            _, estimate = estimate_gains_multipath(block, angles, 0.1)
-            errors.append(np.linalg.norm(estimate.h_hat - h) ** 2)
-        expected = mmse_closed_forms(32, 3, 0.1, 3, 1.0, "issac_multipath")
+            _, h_hat = estimate_gains_multipath(block, angles, 0.1)
+            errors.append(np.linalg.norm(h_hat - h) ** 2)
+        expected = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True).e_lp
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
 
     def test_angle_collision_raises(self):
@@ -313,9 +307,9 @@ class TestGainsMultipath:
         paths = PathSet(angles=np.deg2rad([-10.0, 20.0]), gains=[1.0, 0.3j])
         h = synthesize_channel(geom, paths)
         block = _make_block(h, noise_var=1.0, seed=2)
-        _, estimate = estimate_gains_multipath(block, paths.angles, 0.1)
-        rebuilt = steering_matrix(geom, estimate.angles_used) @ estimate.gains_used
-        np.testing.assert_allclose(estimate.h_hat, rebuilt, atol=1e-14)
+        gains, h_hat = estimate_gains_multipath(block, paths.angles, 0.1)
+        rebuilt = steering_matrix(geom, paths.angles) @ gains
+        np.testing.assert_allclose(h_hat, rebuilt, atol=1e-14)
 
     def test_more_paths_than_antennas_rejected(self):
         geom = UlaGeometry(2)
@@ -323,25 +317,6 @@ class TestGainsMultipath:
         block = _make_block(h, noise_var=0.0)
         with pytest.raises(ValueError):
             estimate_gains_multipath(block, [-0.4, 0.0, 0.4], 0.1)
-
-
-class TestBeamMismatchSnr:
-    def test_perfect_angle_attains_bound(self):
-        gamma = beam_mismatch_snr(0.3, 0.3, data_power=0.2, h_norm_sq=16.0,
-                             noise_var=1.0, num_antennas=16)
-        assert gamma == pytest.approx(0.2 * 16.0, rel=1e-12)
-
-    def test_orthogonal_mismatch_nulls(self):
-        m = 16
-        theta = 0.1
-        theta_hat = np.arcsin(np.sin(theta) + 2.0 / m)
-        gamma = beam_mismatch_snr(theta_hat, theta, 1.0, float(m), 1.0, m)
-        assert gamma < 1e-12 * m
-
-    def test_single_antenna_angle_independent(self):
-        for theta_hat in (-0.5, 0.0, 0.9):
-            gamma = beam_mismatch_snr(theta_hat, 0.2, 2.0, 1.0, 1.0, 1)
-            assert gamma == pytest.approx(2.0, rel=1e-12)
 
 
 class TestSnrReport:

@@ -28,7 +28,7 @@ FIXED_ANGLES = AnglePolicy(fixed=tuple(np.deg2rad([-30.0, 0.0, 30.0])))
 
 class TestSpecValidation:
     def test_defaults_are_reference_point(self):
-        spec = ExperimentSpec.reference_preset()
+        spec = ExperimentSpec()
         assert spec.num_antennas == 32
         assert spec.num_paths == 3
         assert spec.pilot_len == 3
@@ -79,9 +79,9 @@ class TestRunTrial:
         spec = ExperimentSpec(num_trials=1, base_seed=3, angle_stage="oracle")
         result = run_trial(spec, 2)
         paths, h, block = draw_realization(spec, 2)
-        estimate = ls_conventional(block, spec.pilot_pow)
-        assert float(np.linalg.norm(estimate.h_hat - h) ** 2) == result.sq_error_cp
-        gamma = empirical_snr(mrc_beamformer(estimate), h, spec.data_pow,
+        h_hat = ls_conventional(block, spec.pilot_pow)
+        assert float(np.linalg.norm(h_hat - h) ** 2) == result.sq_error_cp
+        gamma = empirical_snr(mrc_beamformer(h_hat), h, spec.data_pow,
                               spec.noise_var)
         assert gamma == result.snr_cp
 
@@ -180,16 +180,15 @@ class TestMatchAngles:
 
 class TestEmpiricalCdf:
     def test_quarter_points(self):
-        series = empirical_cdf([1.0, 2.0, 3.0, 4.0])
+        series = empirical_cdf([4.0, 2.0, 1.0, 3.0])
+        np.testing.assert_array_equal(series.values, [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_allclose(series.probabilities, [0.25, 0.5, 0.75, 1.0])
-        assert series.evaluate(2.5) == 0.5
-        assert series.evaluate(0.5) == 0.0
-        assert series.evaluate(4.0) == 1.0
 
     def test_constant_sample_degenerate_step(self):
         series = empirical_cdf([2.0, 2.0, 2.0])
-        assert series.evaluate(1.999) == 0.0
-        assert series.evaluate(2.0) == 1.0
+        np.testing.assert_array_equal(series.values, [2.0, 2.0, 2.0])
+        np.testing.assert_allclose(series.probabilities, [1 / 3, 2 / 3, 1.0])
+        assert series.percentiles[90.0] == 2.0
 
     def test_percentile_interpolation(self):
         series = empirical_cdf(np.arange(1.0, 11.0), percentiles=(90.0, 50.0))
@@ -250,6 +249,12 @@ class TestSweeps:
         assert min(pt_db) == pytest.approx(-20.0) and max(pt_db) == pytest.approx(0.0)
         pd_db = [10 * np.log10(v) for v in default_sweep_values("pd")]
         assert min(pd_db) == pytest.approx(-30.0) and max(pd_db) == pytest.approx(5.0)
+
+    def test_fractional_count_sweep_rejected(self):
+        for axis in ("m", "rho"):
+            with pytest.raises(ValueError, match="must be integers"):
+                ExperimentSpec(sweep_axis=axis, sweep_values=(16.7,))
+        assert ExperimentSpec(sweep_axis="pt", sweep_values=(0.5,)).sweep_values == (0.5,)
 
     def test_missing_axis_rejected(self):
         with pytest.raises(ValueError, match="m, pt, pd, rho"):

@@ -42,9 +42,7 @@ def _block_from_snapshots(snapshots, pilot_len=0):
     data = snapshots[:, pilot_len:]
     return ReceivedBlock(
         pilot_obs=pilot, data_obs=data,
-        pilot_seq=np.ones(pilot.shape[1], dtype=complex),
-        data_syms=np.ones(data.shape[1], dtype=complex),
-        pilot_power=1.0, data_power=1.0, noise_var=1.0)
+        pilot_seq=np.ones(pilot.shape[1], dtype=complex))
 
 
 def _noiseless_block(h, num_snapshots, seed=0, pilot_len=2):
@@ -305,7 +303,7 @@ class TestMusicSpectrum:
             steer = steering_vector(geom, theta)
             matrix = matrix + np.outer(steer, steer.conj())
         spectrum = music_spectrum(SampleCovariance(matrix, 1), 2, GRID)
-        peaks = find_peaks(spectrum, 2, refine=False)
+        peaks = find_peaks(spectrum, 2)
         np.testing.assert_allclose(peaks.angles, thetas, atol=GRID_STEP)
 
     def test_matches_noise_subspace_form(self):
@@ -343,7 +341,7 @@ class TestFindPeaks:
         grid = make_angle_grid(step_deg=1.0)
         values = np.zeros_like(grid)
         values[40] = 1.0
-        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1, refine=False)
+        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1)
         assert found.angles[0] == grid[40]
         assert found.peak_values[0] == 1.0
 
@@ -352,37 +350,30 @@ class TestFindPeaks:
         values = np.zeros_like(grid)
         values[30] = 2.0
         values[90] = 2.0
-        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1, refine=False)
+        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1)
         assert found.angles[0] == grid[30]
 
     def test_plateau_center(self):
         grid = make_angle_grid(step_deg=1.0)
         values = np.zeros_like(grid)
         values[50:53] = 1.0
-        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1, refine=False)
+        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1)
         assert found.angles[0] == grid[51]
 
     def test_quadratic_refinement_hits_vertex(self):
         grid = make_angle_grid(step_deg=0.5)
         vertex = grid[60] + 0.37 * (grid[61] - grid[60])
         values = 10.0 - (grid - vertex) ** 2
-        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1, refine=True)
+        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1)
         step = grid[1] - grid[0]
         assert abs(found.angles[0] - vertex) < 0.1 * step
-
-    def test_refinement_off_returns_grid_point(self):
-        grid = make_angle_grid(step_deg=0.5)
-        vertex = grid[60] + 0.37 * (grid[61] - grid[60])
-        values = 10.0 - (grid - vertex) ** 2
-        found = find_peaks(Pseudospectrum(grid=grid, values=values), 1, refine=False)
-        assert found.angles[0] == grid[60]
 
     def test_results_sorted_by_angle(self):
         grid = make_angle_grid(step_deg=1.0)
         values = np.zeros_like(grid)
         values[120] = 3.0
         values[20] = 1.0
-        found = find_peaks(Pseudospectrum(grid=grid, values=values), 2, refine=False)
+        found = find_peaks(Pseudospectrum(grid=grid, values=values), 2)
         assert found.angles[0] < found.angles[1]
         np.testing.assert_array_equal(found.peak_values, [1.0, 3.0])
 
