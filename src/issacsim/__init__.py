@@ -13,7 +13,6 @@ from .array_channel import (
     TransmissionConfig,
     UlaGeometry,
     generate_pilot_sequence,
-    sample_paths,
     simulate_reception,
     steering_matrix,
     steering_vector,
@@ -22,7 +21,6 @@ from .array_channel import (
 from .errors import EstimationError
 from .estimators import (
     ClosedFormPredictions,
-    SnrReport,
     closed_form_predictions,
     empirical_snr,
     estimate_gain_los,
@@ -35,13 +33,11 @@ from .simharness import (
     CdfSeries,
     ExperimentSpec,
     SweepPoint,
-    SweepResult,
     TrialResult,
     collect_trials,
     empirical_cdf,
     match_angles,
     nrmse,
-    run_point,
     run_sweep,
     run_trial,
 )

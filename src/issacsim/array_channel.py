@@ -26,7 +26,6 @@ __all__ = [
     "synthesize_channel",
     "sample_angles",
     "sample_gains",
-    "sample_paths",
     "generate_pilot_sequence",
     "simulate_reception",
 ]
@@ -176,15 +175,6 @@ def sample_gains(num_paths: int, rng: np.random.Generator,
     if policy == "unit":
         return np.exp(2j * np.pi * rng.uniform(size=num_paths))
     raise ValueError(f"unknown gain policy {policy!r}; use 'gaussian' or 'unit'")
-
-
-def sample_paths(num_paths: int, rng: np.random.Generator,
-                 angle_policy: AnglePolicy = AnglePolicy(),
-                 gain_policy: str = "gaussian") -> PathSet:
-    """Draw a full PathSet (angles first, then gains, from the same stream)."""
-    angles = sample_angles(num_paths, rng, angle_policy)
-    gains = sample_gains(num_paths, rng, gain_policy)
-    return PathSet(angles=angles, gains=gains)
 
 
 @dataclass(frozen=True)

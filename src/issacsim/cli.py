@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .array_channel import AnglePolicy
+from .errors import EstimationError
 from .simharness import (
     SWEEP_AXES,
     ExperimentSpec,
@@ -140,7 +141,9 @@ def build_spec(cfg: Dict[str, str],
         kwargs["grid_step_deg"] = float(cfg["grid_step_deg"])
     if "subarrays" in cfg:
         count = int(cfg["subarrays"])
-        kwargs["num_subarrays"] = count if count > 0 else None
+        if count < 0:
+            raise ValueError(f"subarrays must be >= 0 (0 = auto), got {count}")
+        kwargs["num_subarrays"] = count or None
     if "pt_tracks_pd" in cfg:
         kwargs["pt_tracks_pd"] = _parse_bool(cfg["pt_tracks_pd"])
     if "axis" in cfg:
@@ -202,20 +205,20 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, ceiling = build_spec(load_run_config(args.config), args)
-    result = run_sweep(spec)
+    points = run_sweep(spec)
     rows = []
-    for p in result.points:
+    for p in points:
         rows.append((
             p.sweep_value, p.e_cp_sim, p.theory.e_cp, p.e_lp_sim, p.theory.e_lp,
             p.nrmse_cp, p.nrmse_lp,
-            _to_db(p.snr_cp.empirical_gamma), _to_db(p.theory.gamma_cp_approx),
-            _to_db(p.snr_lp.empirical_gamma), _to_db(p.theory.gamma_upper),
+            _to_db(p.gamma_cp_sim), _to_db(p.theory.gamma_cp_approx),
+            _to_db(p.gamma_lp_sim), _to_db(p.theory.gamma_upper),
             p.failure_rate, p.num_trials,
         ))
     _write_csv(Path(args.out), SWEEP_CSV_HEADER, rows)
-    worst = max(p.failure_rate for p in result.points)
-    for p in result.points:
-        print(f"{result.axis}={_fmt(p.sweep_value)}: "
+    worst = max(p.failure_rate for p in points)
+    for p in points:
+        print(f"{spec.sweep_axis}={_fmt(p.sweep_value)}: "
               f"e_cp={p.e_cp_sim:.4g} (theory {p.theory.e_cp:.4g}), "
               f"e_lp={p.e_lp_sim:.4g} (theory {p.theory.e_lp:.4g}), "
               f"failures={p.num_failures}/{p.num_trials}")
@@ -225,6 +228,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_cdf(args: argparse.Namespace) -> int:
     spec, ceiling = build_spec(load_run_config(args.config), args)
+    if spec.noise_var == 0:
+        raise ValueError("cdf needs sigma2 > 0: with sigma2 = 0 every receive SNR is infinite")
     trials = collect_trials(spec)
     failures = sum(t.failed for t in trials)
     if failures == len(trials):
@@ -314,6 +319,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EstimationError as exc:
+        # Reached only by spectrum; sweep and cdf count failed trials instead.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

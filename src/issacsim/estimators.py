@@ -22,7 +22,6 @@ from .array_channel import ReceivedBlock, UlaGeometry, steering_matrix, steering
 from .errors import EstimationError
 
 __all__ = [
-    "SnrReport",
     "ClosedFormPredictions",
     "ls_conventional",
     "mrc_beamformer",
@@ -36,20 +35,6 @@ __all__ = [
 # Relative condition limit on the gain Gram system before two estimated
 # angles are declared collided.
 GRAM_COND_LIMIT = 1e8
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    """Realized receive SNR next to its closed-form companion values (linear)."""
-
-    empirical_gamma: float
-    theory_value: float
-    upper_bound: float
-
-    def __post_init__(self):
-        emp, upper = self.empirical_gamma, self.upper_bound
-        if np.isfinite(emp) and np.isfinite(upper) and emp > upper * (1.0 + 1e-9):
-            raise ValueError("realized SNR exceeds the matched-filter bound")
 
 
 @dataclass(frozen=True)
@@ -169,16 +154,15 @@ def estimate_gains_multipath(block: ReceivedBlock, thetas_hat: Sequence[float],
 
 
 def closed_form_predictions(num_antennas: int, num_paths: int, pilot_power: float,
-                            pilot_len: int, noise_var: float, data_power: float,
-                            multipath: bool) -> ClosedFormPredictions:
+                            pilot_len: int, noise_var: float,
+                            data_power: float) -> ClosedFormPredictions:
     """Bundle all closed forms for one parameter point.
 
     Expected squared estimation errors, with base = noise_var /
     (pilot_power * pilot_len):
 
-    * conventional (e_cp):             M * base
-    * angle-then-gain, LoS (e_lp):         base
-    * angle-then-gain, multipath (e_lp): L * base
+    * conventional (e_cp):    M * base
+    * angle-then-gain (e_lp): L * base (LoS is the case L = 1)
 
     The SNR forms use the mean channel energy num_paths * num_antennas of
     unit-variance path gains.
@@ -187,7 +171,7 @@ def closed_form_predictions(num_antennas: int, num_paths: int, pilot_power: floa
         raise ValueError("pilot_power and pilot_len must be positive")
     base = noise_var / (pilot_power * pilot_len)
     e_cp = num_antennas * base
-    e_lp = num_paths * base if multipath else base
+    e_lp = num_paths * base
     expected_h_norm_sq = float(num_paths * num_antennas)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr_t = float(np.divide(pilot_power * expected_h_norm_sq,

@@ -29,7 +29,6 @@ from .array_channel import (
 from .errors import EstimationError
 from .estimators import (
     ClosedFormPredictions,
-    SnrReport,
     closed_form_predictions,
     empirical_snr,
     estimate_gain_los,
@@ -43,11 +42,9 @@ __all__ = [
     "ExperimentSpec",
     "TrialResult",
     "SweepPoint",
-    "SweepResult",
     "CdfSeries",
     "run_trial",
     "collect_trials",
-    "run_point",
     "run_sweep",
     "nrmse",
     "empirical_cdf",
@@ -167,22 +164,26 @@ class ExperimentSpec:
     def theory(self) -> ClosedFormPredictions:
         return closed_form_predictions(
             self.num_antennas, self.num_paths, self.pilot_pow, self.pilot_len,
-            self.noise_var, self.data_pow, self.multipath)
+            self.noise_var, self.data_pow)
 
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one paired trial."""
+    """Outcome of one paired trial.
+
+    A failed trial keeps its conventional fields and leaves the issac ones
+    at nan. ``angle_errors`` is None when no angles were estimated: oracle
+    runs and failed scans.
+    """
 
     h_norm_sq: float
     sq_error_cp: float
     snr_cp: float
     sq_error_lp: float
     snr_lp: float
-    angles_true: np.ndarray
     angle_errors: Optional[np.ndarray]
-    failed: bool = False
-    failure_reason: str = ""
+    failed: bool
+    failure_reason: str
 
 
 def _trial_rngs(spec: ExperimentSpec, trial_index: int):
@@ -236,6 +237,8 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     snr_cp = empirical_snr(mrc_beamformer(h_cp), h, spec.data_pow, spec.noise_var)
 
     angle_errors = None
+    sq_error_lp = snr_lp = float("nan")
+    failed, failure_reason = False, ""
     try:
         if spec.angle_stage == "oracle":
             thetas_hat = paths.angles
@@ -247,17 +250,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         sq_error_lp = float(np.linalg.norm(h_lp - h) ** 2)
         snr_lp = empirical_snr(mrc_beamformer(h_lp), h, spec.data_pow, spec.noise_var)
     except EstimationError as exc:
-        return TrialResult(
-            h_norm_sq=h_norm_sq,
-            sq_error_cp=sq_error_cp,
-            snr_cp=snr_cp,
-            sq_error_lp=float("nan"),
-            snr_lp=float("nan"),
-            angles_true=paths.angles,
-            angle_errors=None,
-            failed=True,
-            failure_reason=str(exc),
-        )
+        failed, failure_reason = True, str(exc)
 
     return TrialResult(
         h_norm_sq=h_norm_sq,
@@ -265,9 +258,9 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         snr_cp=snr_cp,
         sq_error_lp=sq_error_lp,
         snr_lp=snr_lp,
-        angles_true=paths.angles,
         angle_errors=angle_errors,
-        failed=False,
+        failed=failed,
+        failure_reason=failure_reason,
     )
 
 
@@ -333,37 +326,31 @@ def snr_cdfs(trials: Sequence[TrialResult],
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated metrics of one sweep point with theory alongside."""
+    """Aggregated metrics of one sweep point with theory alongside.
+
+    Means are over the non-failed trials; the SNRs are linear.
+    """
 
     sweep_value: float
     e_cp_sim: float
     e_lp_sim: float
     nrmse_cp: float
     nrmse_lp: float
-    snr_cp: SnrReport
-    snr_lp: SnrReport
+    gamma_cp_sim: float
+    gamma_lp_sim: float
     theory: ClosedFormPredictions
     num_trials: int
     num_failures: int
-    mean_angle_error_deg: float
 
     @property
     def failure_rate(self) -> float:
         return self.num_failures / self.num_trials
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """All sweep points of one run, in sweep order."""
-
-    axis: Optional[str]
-    points: Tuple[SweepPoint, ...]
-
-
 def _summarize(spec: ExperimentSpec, trials: Sequence[TrialResult],
                sweep_value: float) -> SweepPoint:
     ok = [t for t in trials if not t.failed]
-    theory = spec.theory()
+    e_cp_sim = e_lp_sim = nrmse_cp = nrmse_lp = gamma_cp = gamma_lp = float("nan")
     if ok:
         sq_cp = np.array([t.sq_error_cp for t in ok])
         sq_lp = np.array([t.sq_error_lp for t in ok])
@@ -374,41 +361,25 @@ def _summarize(spec: ExperimentSpec, trials: Sequence[TrialResult],
         nrmse_lp = nrmse(sq_lp, h_norms)
         gamma_cp = float(np.mean([t.snr_cp for t in ok]))
         gamma_lp = float(np.mean([t.snr_lp for t in ok]))
+        # No combiner beats the matched filter: a mean SNR above the mean
+        # bound data_pow * |h|^2 / noise_var is a bug, not a result.
         with np.errstate(divide="ignore", invalid="ignore"):
-            sample_upper = float(np.divide(spec.data_pow * h_norms.mean(),
-                                           spec.noise_var))
-        errors = [np.mean(t.angle_errors) for t in ok if t.angle_errors is not None]
-        mean_angle_error_deg = float(np.rad2deg(np.mean(errors))) if errors else float("nan")
-    else:
-        e_cp_sim = e_lp_sim = nrmse_cp = nrmse_lp = float("nan")
-        gamma_cp = gamma_lp = sample_upper = float("nan")
-        mean_angle_error_deg = float("nan")
-    snr_cp = SnrReport(empirical_gamma=gamma_cp,
-                       theory_value=theory.gamma_cp_approx,
-                       upper_bound=sample_upper)
-    # No closed form exists for the angle-then-gain route; report against
-    # the matched-filter bound.
-    snr_lp = SnrReport(empirical_gamma=gamma_lp,
-                       theory_value=theory.gamma_upper,
-                       upper_bound=sample_upper)
+            limit = float(np.divide(spec.data_pow * h_norms.mean(),
+                                    spec.noise_var)) * (1.0 + 1e-9)
+        if gamma_cp > limit or gamma_lp > limit:
+            raise ValueError("mean receive SNR exceeds the matched-filter bound")
     return SweepPoint(
         sweep_value=sweep_value,
         e_cp_sim=e_cp_sim,
         e_lp_sim=e_lp_sim,
         nrmse_cp=nrmse_cp,
         nrmse_lp=nrmse_lp,
-        snr_cp=snr_cp,
-        snr_lp=snr_lp,
-        theory=theory,
+        gamma_cp_sim=gamma_cp,
+        gamma_lp_sim=gamma_lp,
+        theory=spec.theory(),
         num_trials=len(trials),
         num_failures=len(trials) - len(ok),
-        mean_angle_error_deg=mean_angle_error_deg,
     )
-
-
-def run_point(spec: ExperimentSpec, sweep_value: float = float("nan")) -> SweepPoint:
-    """Run and aggregate all trials of a single parameter point."""
-    return _summarize(spec, collect_trials(spec), sweep_value)
 
 
 def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
@@ -434,8 +405,8 @@ def default_sweep_values(axis: str) -> Tuple[float, ...]:
     raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
 
 
-def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Aggregate trials at every sweep value of the spec's axis.
+def run_sweep(spec: ExperimentSpec) -> Tuple[SweepPoint, ...]:
+    """Aggregate trials at every sweep value of the spec's axis, in order.
 
     Power axes report ``sweep_value`` in dB relative to the noise variance;
     count axes report the raw value.
@@ -449,4 +420,4 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         sub = _apply_axis(spec, axis, value)
         display = _to_db(value) if axis in ("pt", "pd") else float(value)
         points.append(_summarize(sub, collect_trials(sub), display))
-    return SweepResult(axis=axis, points=tuple(points))
+    return tuple(points)

@@ -237,16 +237,7 @@ class AngleEstimates:
     """Peak angles of a pseudospectrum, sorted ascending, with the spectrum."""
 
     angles: np.ndarray
-    peak_values: np.ndarray
     spectrum: Pseudospectrum
-
-    def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        values = np.asarray(self.peak_values, dtype=float)
-        if angles.shape != values.shape or angles.ndim != 1:
-            raise ValueError("angles and peak_values must be matching vectors")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "peak_values", values)
 
 
 def _local_maxima(values: np.ndarray) -> List[int]:
@@ -299,11 +290,8 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
         raise EstimationError(
             f"found {len(maxima)} spectral peaks, need {num_peaks}")
     chosen = sorted(maxima, key=lambda k: (-values[k], k))[:num_peaks]
-    angles = np.array([_refine_peak(grid, values, k) for k in chosen])
-    heights = values[chosen]
-    order = np.argsort(angles)
-    return AngleEstimates(angles=angles[order], peak_values=heights[order],
-                          spectrum=spectrum)
+    angles = np.sort([_refine_peak(grid, values, k) for k in chosen])
+    return AngleEstimates(angles=angles, spectrum=spectrum)
 
 
 def scan_angles(block: ReceivedBlock, num_sources: int, grid: np.ndarray,

@@ -14,7 +14,6 @@ from issacsim.array_channel import (
     generate_pilot_sequence,
     sample_angles,
     sample_gains,
-    sample_paths,
     simulate_reception,
     steering_matrix,
     steering_vector,
@@ -103,7 +102,7 @@ class TestSynthesizeChannel:
     def test_matches_bruteforce_sum(self):
         rng = np.random.default_rng(123)
         geom = UlaGeometry(8)
-        paths = sample_paths(3, rng)
+        paths = PathSet(angles=sample_angles(3, rng), gains=sample_gains(3, rng))
         h = synthesize_channel(geom, paths)
         brute = np.zeros(8, dtype=complex)
         for theta, gain in zip(paths.angles, paths.gains):
@@ -113,10 +112,9 @@ class TestSynthesizeChannel:
 
 class TestPathSampling:
     def test_deterministic_given_seed(self):
-        a = sample_paths(3, np.random.default_rng(7))
-        b = sample_paths(3, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.angles, b.angles)
-        np.testing.assert_array_equal(a.gains, b.gains)
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        np.testing.assert_array_equal(sample_angles(3, rng_a), sample_angles(3, rng_b))
+        np.testing.assert_array_equal(sample_gains(3, rng_a), sample_gains(3, rng_b))
 
     def test_gain_second_moment(self):
         rng = np.random.default_rng(99)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config parsing, CSV contracts, determinism."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,26 @@ from issacsim.cli import (
     main,
 )
 from issacsim.simharness import ExperimentSpec, run_sweep
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# The subcommand scripts/run_experiments.py runs each shipped config with;
+# reference_point.cfg is not in that script and runs as a cdf.
+CONFIG_COMMANDS = {
+    "nrmse_vs_m": "sweep",
+    "nrmse_vs_pt": "sweep",
+    "reference_point": "cdf",
+    "snr_cdf": "cdf",
+    "snr_vs_m": "sweep",
+    "snr_vs_pd": "sweep",
+    "spectrum_demo": "spectrum",
+}
+CSV_HEADERS = {
+    "sweep": list(SWEEP_CSV_HEADER),
+    "cdf": ["snr_cp_db", "F_cp", "snr_lp_db", "F_lp"],
+    "spectrum": ["angle_deg", "bartlett", "music"],
+}
 
 
 def _write(tmp_path, name, text):
@@ -114,8 +135,7 @@ class TestSweepCommand:
         assert len(rows) == 4
         spec = ExperimentSpec(sweep_axis="m", num_trials=25, base_seed=5,
                               angle_stage="oracle")
-        result = run_sweep(spec)
-        for row, point in zip(rows, result.points):
+        for row, point in zip(rows, run_sweep(spec)):
             parsed = [float(cell) for cell in row]
             assert parsed[0] == pytest.approx(point.sweep_value, rel=1e-11)
             assert parsed[1] == pytest.approx(point.e_cp_sim, rel=1e-11)
@@ -215,6 +235,30 @@ class TestCdfCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "infeasible" in err
 
+    def test_negative_subarrays_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "run.cfg", "subarrays = -4\n")
+        out = tmp_path / "x.csv"
+        code = main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "2"])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "subarrays" in err
+        auto = _write(tmp_path, "auto.cfg", "subarrays = 0\n")
+        assert build_spec(load_run_config(auto))[0].num_subarrays is None
+
+    def test_zero_noise_rejected_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "run.cfg", "sigma2 = 0\npt = 1\npd = 1\n")
+        out = tmp_path / "x.csv"
+        code = main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "3",
+                     "--oracle-angles"])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "sigma2" in captured.err
+
     def test_all_trials_failed_exits_1_without_csv(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\n")
         out = tmp_path / "x.csv"
@@ -270,7 +314,26 @@ class TestSpectrumCommand:
             peak = angles[window][np.argmax(music[window])]
             assert abs(peak - true_deg) <= 0.1
 
+    def test_too_few_peaks_exits_1_without_csv(self, tmp_path, capsys):
+        # a 30 deg grid holds one MUSIC peak for three paths
+        cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\n")
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "spectral peaks" in err
+
     def test_missing_config_file_errors(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_config_runs(tmp_path, config):
+    command = CONFIG_COMMANDS[config.stem]
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(config), "--out", str(out), "--trials", "2"]) == 0
+    header, _ = _read_csv(out)
+    assert header == CSV_HEADERS[command]

@@ -10,7 +10,8 @@ from issacsim.array_channel import (
     TransmissionConfig,
     UlaGeometry,
     generate_pilot_sequence,
-    sample_paths,
+    sample_angles,
+    sample_gains,
     simulate_reception,
     steering_matrix,
     steering_vector,
@@ -18,7 +19,6 @@ from issacsim.array_channel import (
 )
 from issacsim.errors import EstimationError
 from issacsim.estimators import (
-    SnrReport,
     closed_form_predictions,
     empirical_snr,
     estimate_gain_los,
@@ -65,13 +65,13 @@ class TestLsConventional:
         rng = np.random.default_rng(21)
         errors = []
         for _ in range(3000):
-            paths = sample_paths(3, rng)
+            paths = PathSet(angles=sample_angles(3, rng), gains=sample_gains(3, rng))
             h = synthesize_channel(geom, paths)
             config = TransmissionConfig(pilot_len=3, data_len=1,
                                         pilot_power=0.1, data_power=0.1)
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
             errors.append(np.linalg.norm(ls_conventional(block, 0.1) - h) ** 2)
-        expected = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True).e_cp
+        expected = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1).e_cp
         assert expected == pytest.approx(320.0 / 3.0)
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
 
@@ -82,7 +82,7 @@ class TestLsConventional:
         for pilot_len in (2, 4):
             errors = []
             for _ in range(2000):
-                paths = sample_paths(2, rng)
+                paths = PathSet(angles=sample_angles(2, rng), gains=sample_gains(2, rng))
                 h = synthesize_channel(geom, paths)
                 config = TransmissionConfig(pilot_len=pilot_len, data_len=1,
                                             pilot_power=0.2, data_power=0.2)
@@ -181,8 +181,8 @@ class TestClosedForms:
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
 
     def test_mmse_values(self):
-        multipath = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True)
-        los = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=False)
+        multipath = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1)
+        los = closed_form_predictions(32, 1, 0.1, 3, 1.0, 0.1)
         assert multipath.e_cp == pytest.approx(320.0 / 3.0)
         assert los.e_cp == pytest.approx(320.0 / 3.0)
         assert los.e_lp == pytest.approx(10.0 / 3.0)
@@ -191,12 +191,12 @@ class TestClosedForms:
 
     def test_nonpositive_pilot_rejected(self):
         with pytest.raises(ValueError):
-            closed_form_predictions(32, 3, 0.0, 3, 1.0, 0.1, multipath=True)
+            closed_form_predictions(32, 3, 0.0, 3, 1.0, 0.1)
         with pytest.raises(ValueError):
-            closed_form_predictions(32, 3, 0.1, 0, 1.0, 0.1, multipath=True)
+            closed_form_predictions(32, 3, 0.1, 0, 1.0, 0.1)
 
     def test_bundle_consistency(self):
-        theory = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True)
+        theory = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1)
         assert theory.e_cp == pytest.approx(32.0 * theory.e_lp / 3.0, rel=1e-12)
         assert 0.0 <= theory.xi < 1.0
         assert theory.gamma_cp_approx < theory.gamma_upper
@@ -247,7 +247,7 @@ class TestGainLos:
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
             _, h_hat = estimate_gain_los(block, theta, 0.1)
             errors.append(np.linalg.norm(h_hat - h) ** 2)
-        expected = closed_form_predictions(32, 1, 0.1, 3, 1.0, 0.1, multipath=False).e_lp
+        expected = closed_form_predictions(32, 1, 0.1, 3, 1.0, 0.1).e_lp
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
 
     def test_reconstruction_identity(self):
@@ -292,7 +292,7 @@ class TestGainsMultipath:
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
             _, h_hat = estimate_gains_multipath(block, angles, 0.1)
             errors.append(np.linalg.norm(h_hat - h) ** 2)
-        expected = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1, multipath=True).e_lp
+        expected = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1).e_lp
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
 
     def test_angle_collision_raises(self):
@@ -317,13 +317,3 @@ class TestGainsMultipath:
         block = _make_block(h, noise_var=0.0)
         with pytest.raises(ValueError):
             estimate_gains_multipath(block, [-0.4, 0.0, 0.4], 0.1)
-
-
-class TestSnrReport:
-    def test_bound_violation_rejected(self):
-        with pytest.raises(ValueError):
-            SnrReport(empirical_gamma=2.0, theory_value=1.0, upper_bound=1.0)
-
-    def test_valid_report_passes(self):
-        report = SnrReport(empirical_gamma=0.9, theory_value=0.8, upper_bound=1.0)
-        assert report.empirical_gamma == 0.9

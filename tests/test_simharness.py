@@ -18,7 +18,6 @@ from issacsim.simharness import (
     empirical_cdf,
     match_angles,
     nrmse,
-    run_point,
     run_sweep,
     run_trial,
 )
@@ -61,7 +60,6 @@ class TestRunTrial:
         assert one.sq_error_cp == two.sq_error_cp
         assert one.sq_error_lp == two.sq_error_lp
         assert one.snr_cp == two.snr_cp
-        np.testing.assert_array_equal(one.angles_true, two.angles_true)
 
     def test_noiseless_oracle_is_exact(self):
         spec = ExperimentSpec(noise_var=0.0, pilot_pow=0.1, data_pow=0.1,
@@ -102,8 +100,8 @@ class TestRunTrial:
         spec = ExperimentSpec(num_trials=8, base_seed=10, angle_stage="oracle",
                               angle_hold_trials=4)
         trials = collect_trials(spec)
-        block_one = [t.angles_true for t in trials[:4]]
-        block_two = [t.angles_true for t in trials[4:]]
+        drawn = [draw_realization(spec, i)[0].angles for i in range(8)]
+        block_one, block_two = drawn[:4], drawn[4:]
         for angles in block_one[1:]:
             np.testing.assert_array_equal(angles, block_one[0])
         assert not np.array_equal(block_two[0], block_one[0])
@@ -123,8 +121,9 @@ class TestFailureAccounting:
             return real_scan(*args, **kwargs)
 
         monkeypatch.setattr(harness, "scan_angles", flaky_scan)
-        spec = ExperimentSpec(angle_policy=FIXED_ANGLES, num_trials=9, base_seed=2)
-        point = run_point(spec)
+        spec = ExperimentSpec(angle_policy=FIXED_ANGLES, num_trials=9, base_seed=2,
+                              sweep_axis="m", sweep_values=(32,))
+        (point,) = run_sweep(spec)
         assert point.num_failures == 3
         assert point.failure_rate == pytest.approx(3.0 / 9.0)
         assert np.isfinite(point.e_lp_sim)
@@ -212,9 +211,9 @@ class TestSweeps:
     def test_antenna_sweep_theory_columns(self):
         spec = ExperimentSpec(sweep_axis="m", sweep_values=(8, 16, 32, 64),
                               num_trials=2, angle_stage="oracle", base_seed=1)
-        result = run_sweep(spec)
-        e_cp = [p.theory.e_cp for p in result.points]
-        e_lp = [p.theory.e_lp for p in result.points]
+        points = run_sweep(spec)
+        e_cp = [p.theory.e_cp for p in points]
+        e_lp = [p.theory.e_lp for p in points]
         np.testing.assert_allclose(e_cp, [m / 0.3 for m in (8, 16, 32, 64)], rtol=1e-12)
         np.testing.assert_allclose(e_lp, 10.0, rtol=1e-12)
 
@@ -222,24 +221,24 @@ class TestSweeps:
         values = tuple(10 ** (d / 10.0) for d in (-20.0, -10.0, 0.0))
         spec = ExperimentSpec(sweep_axis="pt", sweep_values=values,
                               num_trials=2, angle_stage="oracle", base_seed=1)
-        result = run_sweep(spec)
-        for point, ratio in zip(result.points, (10.0, 1.0, 0.1)):
+        points = run_sweep(spec)
+        for point, ratio in zip(points, (10.0, 1.0, 0.1)):
             assert point.theory.e_cp == pytest.approx(320.0 / 3.0 * ratio, rel=1e-12)
             assert point.theory.e_lp == pytest.approx(10.0 * ratio, rel=1e-12)
-        np.testing.assert_allclose([p.sweep_value for p in result.points],
+        np.testing.assert_allclose([p.sweep_value for p in points],
                                    [-20.0, -10.0, 0.0], atol=1e-12)
 
     def test_joint_power_sweep_tracks_pilot(self):
         spec = ExperimentSpec(sweep_axis="pd", sweep_values=(0.01,),
                               num_trials=2, angle_stage="oracle", base_seed=1)
-        point = run_sweep(spec).points[0]
+        (point,) = run_sweep(spec)
         assert point.theory.e_cp == pytest.approx(32.0 / 0.03, rel=1e-12)
 
     def test_independent_pilot_power_flag(self):
         spec = ExperimentSpec(sweep_axis="pd", sweep_values=(0.01,),
                               pt_tracks_pd=False, num_trials=2,
                               angle_stage="oracle", base_seed=1)
-        point = run_sweep(spec).points[0]
+        (point,) = run_sweep(spec)
         # pilot power stays at the preset 0.1
         assert point.theory.e_cp == pytest.approx(320.0 / 3.0, rel=1e-12)
 
@@ -261,11 +260,19 @@ class TestSweeps:
             run_sweep(ExperimentSpec())
 
     def test_point_aggregates_expected_fields(self):
-        spec = ExperimentSpec(num_trials=40, angle_stage="oracle", base_seed=12)
-        point = run_point(spec)
+        spec = ExperimentSpec(num_trials=40, angle_stage="oracle", base_seed=12,
+                              sweep_axis="m", sweep_values=(32,))
+        (point,) = run_sweep(spec)
+        assert point.sweep_value == 32.0
         assert point.num_trials == 40
         assert point.num_failures == 0
         assert point.e_cp_sim > point.e_lp_sim
-        assert point.snr_cp.empirical_gamma <= point.snr_cp.upper_bound * (1 + 1e-9)
-        assert point.snr_lp.theory_value == point.theory.gamma_upper
-        assert np.isnan(point.mean_angle_error_deg)  # oracle run has no estimates
+        assert point.gamma_cp_sim < point.gamma_lp_sim
+        assert point.theory == spec.theory()
+
+    def test_mean_snr_above_matched_filter_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "empirical_snr", lambda *args: 1e12)
+        spec = ExperimentSpec(num_trials=3, angle_stage="oracle", base_seed=12,
+                              sweep_axis="m", sweep_values=(32,))
+        with pytest.raises(ValueError, match="matched-filter bound"):
+            run_sweep(spec)
