@@ -24,9 +24,11 @@ import numpy as np
 from .array_channel import AnglePolicy
 from .errors import EstimationError
 from .simharness import (
-    SWEEP_AXES,
+    POWER_AXES,
+    _AXES,
     ExperimentSpec,
     _from_db,
+    _power_from_snr,
     _to_db,
     collect_trials,
     draw_realization,
@@ -41,13 +43,6 @@ SWEEP_CSV_HEADER = (
     "sweep_value", "e_cp_sim", "e_cp_theory", "e_lp_sim", "e_lp_theory",
     "nrmse_cp", "nrmse_lp", "gamma_cp_sim_db", "gamma_cp_approx_db",
     "gamma_lp_sim_db", "gamma_upper_db", "failure_rate", "trials",
-)
-
-_VALID_KEYS = (
-    "m", "l", "mode", "angles_deg", "angle_low_deg", "angle_high_deg",
-    "min_sep_deg", "gain_policy", "rho", "kappa", "pt", "pd", "sigma2",
-    "trials", "seed", "angle_stage", "angle_hold_trials", "grid_step_deg",
-    "subarrays", "axis", "sweep_values", "pt_tracks_pd", "max_failure_rate",
 )
 
 DEFAULT_MAX_FAILURE_RATE = 0.1
@@ -75,11 +70,37 @@ def _parse_list(text: str) -> List[str]:
     return [item for item in items if item]
 
 
+# Config keys that set one ExperimentSpec field: key -> (field, parser).
+# A CLI flag named like one of these keys (--seed, --trials, --mode,
+# --axis) overrides it.
+_SPEC_KEYS = {
+    "m": ("num_antennas", int),
+    "l": ("num_paths", int),
+    "mode": ("mode", str.lower),
+    "gain_policy": ("gain_policy", str.lower),
+    "rho": ("pilot_len", int),
+    "kappa": ("data_len", int),
+    "trials": ("num_trials", int),
+    "seed": ("base_seed", int),
+    "angle_stage": ("angle_stage", str.lower),
+    "angle_hold_trials": ("angle_hold_trials", int),
+    "grid_step_deg": ("grid_step_deg", float),
+    "pt_tracks_pd": ("pt_tracks_pd", _parse_bool),
+    "axis": ("sweep_axis", str.lower),
+}
+# ... plus the keys build_spec combines or checks itself.
+_VALID_KEYS = tuple(_SPEC_KEYS) + (
+    "angles_deg", "angle_low_deg", "angle_high_deg", "min_sep_deg",
+    "pt", "pd", "sigma2", "subarrays", "sweep_values", "max_failure_rate",
+)
+
+
 def load_run_config(path: Optional[str]) -> Dict[str, str]:
     """Read a flat key=value config file; unknown keys are rejected."""
     if path is None:
         return {}
     raw: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -91,7 +112,10 @@ def load_run_config(path: Optional[str]) -> Dict[str, str]:
         if key not in _VALID_KEYS:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(_VALID_KEYS)}")
-        raw[key] = value.strip()
+        if key in raw:
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} given twice (lines {first_line[key]} and {lineno})")
+        raw[key], first_line[key] = value.strip(), lineno
     return raw
 
 
@@ -116,71 +140,30 @@ def build_spec(cfg: Dict[str, str],
 
     Returns the spec and the failure-rate ceiling for the exit status.
     """
-    kwargs: Dict[str, object] = {}
-    if "m" in cfg:
-        kwargs["num_antennas"] = int(cfg["m"])
-    if "l" in cfg:
-        kwargs["num_paths"] = int(cfg["l"])
-    if "mode" in cfg:
-        kwargs["mode"] = cfg["mode"].lower()
-    if "gain_policy" in cfg:
-        kwargs["gain_policy"] = cfg["gain_policy"].lower()
-    if "rho" in cfg:
-        kwargs["pilot_len"] = int(cfg["rho"])
-    if "kappa" in cfg:
-        kwargs["data_len"] = int(cfg["kappa"])
-    if "trials" in cfg:
-        kwargs["num_trials"] = int(cfg["trials"])
-    if "seed" in cfg:
-        kwargs["base_seed"] = int(cfg["seed"])
-    if "angle_stage" in cfg:
-        kwargs["angle_stage"] = cfg["angle_stage"].lower()
-    if "angle_hold_trials" in cfg:
-        kwargs["angle_hold_trials"] = int(cfg["angle_hold_trials"])
-    if "grid_step_deg" in cfg:
-        kwargs["grid_step_deg"] = float(cfg["grid_step_deg"])
+    kwargs: Dict[str, object] = {
+        field: parse(cfg[key]) for key, (field, parse) in _SPEC_KEYS.items() if key in cfg}
+    flags = vars(args) if args is not None else {}
+    for key, (field, _) in _SPEC_KEYS.items():
+        if flags.get(key) is not None:
+            kwargs[field] = flags[key]
+    if flags.get("oracle_angles"):
+        kwargs["angle_stage"] = "oracle"
+
     if "subarrays" in cfg:
         count = int(cfg["subarrays"])
         if count < 0:
             raise ValueError(f"subarrays must be >= 0 (0 = auto), got {count}")
         kwargs["num_subarrays"] = count or None
-    if "pt_tracks_pd" in cfg:
-        kwargs["pt_tracks_pd"] = _parse_bool(cfg["pt_tracks_pd"])
-    if "axis" in cfg:
-        kwargs["sweep_axis"] = cfg["axis"].lower()
-
     noise_var = _parse_power(cfg["sigma2"]) if "sigma2" in cfg else 1.0
     kwargs["noise_var"] = noise_var
-    # pt/pd are transmit SNRs; absolute power is ratio * noise variance.
-    # With zero noise the ratio is taken as the absolute power directly.
-    power_scale = noise_var if noise_var > 0 else 1.0
     if "pt" in cfg:
-        kwargs["pilot_pow"] = _parse_power(cfg["pt"]) * power_scale
+        kwargs["pilot_pow"] = _power_from_snr(_parse_power(cfg["pt"]), noise_var)
     if "pd" in cfg:
-        kwargs["data_pow"] = _parse_power(cfg["pd"]) * power_scale
-
+        kwargs["data_pow"] = _power_from_snr(_parse_power(cfg["pd"]), noise_var)
     kwargs["angle_policy"] = _angle_policy_from(cfg)
-
-    if args is not None:
-        if getattr(args, "seed", None) is not None:
-            kwargs["base_seed"] = args.seed
-        if getattr(args, "trials", None) is not None:
-            kwargs["num_trials"] = args.trials
-        if getattr(args, "mode", None) is not None:
-            kwargs["mode"] = args.mode
-        if getattr(args, "oracle_angles", False):
-            kwargs["angle_stage"] = "oracle"
-        if getattr(args, "axis", None) is not None:
-            kwargs["sweep_axis"] = args.axis
-
     if "sweep_values" in cfg:
-        axis = kwargs.get("sweep_axis")
-        entries = _parse_list(cfg["sweep_values"])
-        if axis in ("pt", "pd"):
-            values = tuple(_parse_power(entry) for entry in entries)
-        else:
-            values = tuple(float(entry) for entry in entries)
-        kwargs["sweep_values"] = values
+        parse = _parse_power if kwargs.get("sweep_axis") in POWER_AXES else float
+        kwargs["sweep_values"] = tuple(parse(v) for v in _parse_list(cfg["sweep_values"]))
 
     ceiling = float(cfg.get("max_failure_rate", DEFAULT_MAX_FAILURE_RATE))
     if not 0.0 <= ceiling <= 1.0:
@@ -203,8 +186,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec, ceiling = build_spec(load_run_config(args.config), args)
+def _cmd_sweep(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
     points = run_sweep(spec)
     rows = []
     for p in points:
@@ -226,8 +208,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if worst <= ceiling else 1
 
 
-def _cmd_cdf(args: argparse.Namespace) -> int:
-    spec, ceiling = build_spec(load_run_config(args.config), args)
+def _cmd_cdf(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
     if spec.noise_var == 0:
         raise ValueError("cdf needs sigma2 > 0: with sigma2 = 0 every receive SNR is infinite")
     trials = collect_trials(spec)
@@ -259,8 +240,7 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
     return 0 if failure_rate <= ceiling else 1
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    spec, _ = build_spec(load_run_config(args.config), args)
+def _cmd_spectrum(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
     _, _, block = draw_realization(spec, 0)
     grid = spec.angle_grid()
     peaks = scan_angles(block, spec.num_paths, grid, spec.multipath, spec.num_subarrays)
@@ -290,7 +270,7 @@ def _add_common_args(parser: argparse.ArgumentParser, with_axis: bool) -> None:
     parser.add_argument("--oracle-angles", action="store_true",
                         help="skip angle estimation and use the true angles")
     if with_axis:
-        parser.add_argument("--axis", choices=SWEEP_AXES, default=None,
+        parser.add_argument("--axis", choices=tuple(_AXES), default=None,
                             help="sweep axis")
 
 
@@ -315,7 +295,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        spec, ceiling = build_spec(load_run_config(args.config), args)
+        return args.func(spec, ceiling, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

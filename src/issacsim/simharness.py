@@ -51,24 +51,24 @@ __all__ = [
     "match_angles",
     "draw_realization",
     "snr_cdfs",
-    "SWEEP_AXES",
+    "POWER_AXES",
 ]
-
-SWEEP_AXES = ("m", "pt", "pd", "rho")
 
 # Stream tags keep the per-block angle stream and the per-trial stream
 # statistically independent.
 _ANGLE_STREAM = 1
 _TRIAL_STREAM = 2
 
-_DEFAULT_SWEEPS_DB = {
-    "pt": (-20.0, -15.0, -10.0, -5.0, 0.0),
-    "pd": (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0, 5.0),
+# Sweep axes: the spec field each one sets and its default points. Points
+# on the power axes are transmit SNRs (defaults in dB) and report in dB;
+# points on the other axes are integer counts.
+_AXES = {
+    "m": ("num_antennas", (8, 16, 32, 64)),
+    "pt": ("pilot_pow", (-20.0, -15.0, -10.0, -5.0, 0.0)),
+    "pd": ("data_pow", (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0, 5.0)),
+    "rho": ("pilot_len", (1, 2, 3, 4, 6, 8)),
 }
-_DEFAULT_SWEEPS_COUNT = {
-    "m": (8, 16, 32, 64),
-    "rho": (1, 2, 3, 4, 6, 8),
-}
+POWER_AXES = ("pt", "pd")
 
 
 # The one dB conversion pair of the package, shared with the CLI. Private so
@@ -81,6 +81,11 @@ def _from_db(db: float) -> float:
 def _to_db(value: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(10.0 * np.log10(value))
+
+
+def _power_from_snr(snr: float, noise_var: float) -> float:
+    """Absolute power of a transmit SNR; with zero noise the SNR is the power."""
+    return snr * noise_var if noise_var > 0 else snr
 
 
 @dataclass(frozen=True)
@@ -127,14 +132,14 @@ class ExperimentSpec:
             raise ValueError("gain estimation needs pilot_len >= 1")
         if self.angle_hold_trials < 1:
             raise ValueError("angle_hold_trials must be >= 1")
-        if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
+        if self.sweep_axis is not None and self.sweep_axis not in _AXES:
             raise ValueError(
-                f"unknown sweep axis {self.sweep_axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+                f"unknown sweep axis {self.sweep_axis!r}; valid axes: {', '.join(_AXES)}")
         if self.sweep_values is not None:
             values = tuple(float(v) for v in self.sweep_values)
             if not values:
                 raise ValueError("sweep_values must be nonempty when given")
-            if self.sweep_axis in _DEFAULT_SWEEPS_COUNT and not all(
+            if self.sweep_axis not in (None, *POWER_AXES) and not all(
                     v.is_integer() for v in values):
                 raise ValueError(
                     f"sweep_values on the {self.sweep_axis!r} axis must be integers")
@@ -293,34 +298,32 @@ def match_angles(angles_est: Sequence[float], angles_true: Sequence[float]) -> n
 
 @dataclass(frozen=True)
 class CdfSeries:
-    """Empirical CDF of a sample with named percentiles."""
+    """Empirical CDF of a sample with its 90th percentile."""
 
     values: np.ndarray
     probabilities: np.ndarray
     percentiles: Dict[float, float]
 
 
-def empirical_cdf(values: Sequence[float],
-                  percentiles: Sequence[float] = (90.0,)) -> CdfSeries:
-    """Standard empirical CDF F(x_(i)) = i / n with interpolated percentiles."""
+def empirical_cdf(values: Sequence[float]) -> CdfSeries:
+    """Standard empirical CDF F(x_(i)) = i / n with the interpolated p90."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one sample")
     ordered = np.sort(values)
     probs = np.arange(1, ordered.size + 1) / ordered.size
-    named = {float(p): float(np.percentile(ordered, p)) for p in percentiles}
-    return CdfSeries(values=ordered, probabilities=probs, percentiles=named)
+    return CdfSeries(values=ordered, probabilities=probs,
+                     percentiles={90.0: float(np.percentile(ordered, 90.0))})
 
 
-def snr_cdfs(trials: Sequence[TrialResult],
-             percentiles: Sequence[float] = (90.0,)) -> Dict[str, CdfSeries]:
+def snr_cdfs(trials: Sequence[TrialResult]) -> Dict[str, CdfSeries]:
     """Receive-SNR CDFs of both methods over the non-failed trials."""
     ok = [t for t in trials if not t.failed]
     if not ok:
         raise ValueError("all trials failed; no CDF to report")
     return {
-        "conventional": empirical_cdf([t.snr_cp for t in ok], percentiles),
-        "issac": empirical_cdf([t.snr_lp for t in ok], percentiles),
+        "conventional": empirical_cdf([t.snr_cp for t in ok]),
+        "issac": empirical_cdf([t.snr_lp for t in ok]),
     }
 
 
@@ -382,27 +385,23 @@ def _summarize(spec: ExperimentSpec, trials: Sequence[TrialResult],
     )
 
 
-def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
-    if axis == "m":
-        return dataclasses.replace(spec, num_antennas=int(value))
-    if axis == "rho":
-        return dataclasses.replace(spec, pilot_len=int(value))
-    if axis == "pt":
-        return dataclasses.replace(spec, pilot_pow=value * spec.noise_var)
-    if axis == "pd":
-        data_pow = value * spec.noise_var
-        pilot_pow = data_pow if spec.pt_tracks_pd else spec.pilot_pow
-        return dataclasses.replace(spec, data_pow=data_pow, pilot_pow=pilot_pow)
-    raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+def _apply_axis(spec: ExperimentSpec, axis: str, value: float
+                ) -> Tuple[ExperimentSpec, float]:
+    """The spec at one sweep point and the value its CSV row reports."""
+    field = _AXES[axis][0]
+    if axis not in POWER_AXES:
+        return dataclasses.replace(spec, **{field: int(value)}), float(value)
+    power = _power_from_snr(value, spec.noise_var)
+    changes = {field: power}
+    if axis == "pd" and spec.pt_tracks_pd:
+        changes["pilot_pow"] = power
+    return dataclasses.replace(spec, **changes), _to_db(value)
 
 
 def default_sweep_values(axis: str) -> Tuple[float, ...]:
-    """Default sweep grid per axis (linear power ratios for pt/pd)."""
-    if axis in _DEFAULT_SWEEPS_DB:
-        return tuple(_from_db(v) for v in _DEFAULT_SWEEPS_DB[axis])
-    if axis in _DEFAULT_SWEEPS_COUNT:
-        return tuple(float(v) for v in _DEFAULT_SWEEPS_COUNT[axis])
-    raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    """Default sweep grid per axis (transmit SNRs, linear, for pt/pd)."""
+    convert = _from_db if axis in POWER_AXES else float
+    return tuple(convert(v) for v in _AXES[axis][1])
 
 
 def run_sweep(spec: ExperimentSpec) -> Tuple[SweepPoint, ...]:
@@ -413,11 +412,9 @@ def run_sweep(spec: ExperimentSpec) -> Tuple[SweepPoint, ...]:
     """
     axis = spec.sweep_axis
     if axis is None:
-        raise ValueError(f"spec has no sweep axis; valid axes: {', '.join(SWEEP_AXES)}")
-    values = spec.sweep_values or default_sweep_values(axis)
+        raise ValueError(f"spec has no sweep axis; valid axes: {', '.join(_AXES)}")
     points = []
-    for value in values:
-        sub = _apply_axis(spec, axis, value)
-        display = _to_db(value) if axis in ("pt", "pd") else float(value)
+    for value in spec.sweep_values or default_sweep_values(axis):
+        sub, display = _apply_axis(spec, axis, value)
         points.append(_summarize(sub, collect_trials(sub), display))
     return tuple(points)

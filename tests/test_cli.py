@@ -8,6 +8,7 @@ import pytest
 
 from issacsim.cli import (
     SWEEP_CSV_HEADER,
+    _VALID_KEYS,
     _parse_power,
     build_spec,
     load_run_config,
@@ -17,6 +18,7 @@ from issacsim.simharness import ExperimentSpec, run_sweep
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The subcommand scripts/run_experiments.py runs each shipped config with;
 # reference_point.cfg is not in that script and runs as a cdf.
@@ -97,6 +99,26 @@ class TestConfigParsing:
         cfg_path = _write(tmp_path, "run.cfg", "antennas = 8\n")
         with pytest.raises(ValueError, match="unknown key 'antennas'"):
             load_run_config(cfg_path)
+
+    def test_repeated_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "run.cfg", "pt = -10 dB\nm = 8\npt = 0 dB\n")
+        code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                     "--trials", "1", "--oracle-angles"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "'pt'" in err and "lines 1 and 3" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_readme_config_table_lists_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("## Config files", 1)[1].split("\n## ", 1)[0]
+        keys = []
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                first_cell = line.split("|")[1]
+                keys += first_cell.replace("`", "").replace(",", " ").split()
+        assert sorted(keys) == sorted(_VALID_KEYS)
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_path = _write(tmp_path, "run.cfg", "just some words\n")
@@ -193,6 +215,23 @@ class TestSweepCommand:
         assert main(args) == 1
         cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\nmax_failure_rate = 1\n")
         assert main(args) == 0
+
+    @pytest.mark.parametrize("axis", ["pt", "pd"])
+    def test_noiseless_power_sweep_runs(self, tmp_path, axis):
+        # Power sweep points are transmit SNRs; with sigma2 = 0 they are
+        # taken as absolute powers, as the pt/pd keys are.
+        cfg_path = _write(tmp_path, "run.cfg",
+                          f"sigma2 = 0\naxis = {axis}\nsweep_values = -10 dB, 0 dB\n")
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--trials", "3", "--oracle-angles"])
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            record = dict(zip(header, row))
+            assert np.isfinite(float(record["e_cp_sim"]))
+            assert np.isfinite(float(record["e_lp_sim"]))
 
     def test_fractional_count_sweep_exits_2(self, tmp_path, capsys):
         for axis in ("m", "rho"):

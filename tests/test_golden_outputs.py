@@ -42,6 +42,22 @@ sigma2 = 1
 seed = 7
 """
 
+# Oracle rho sweep with sigma2 != 1, so the pt/pd keys are scaled by the
+# noise variance on the way into the spec.
+RHO_SWEEP_CFG = """
+m = 16
+l = 3
+mode = multipath
+kappa = 97
+pt = -10 dB
+pd = -5 dB
+sigma2 = 2
+angle_stage = oracle
+axis = rho
+sweep_values = 1, 2, 4
+seed = 23
+"""
+
 # (subcommand, shipped config name or inline config text, extra flags, digest)
 CASES = {
     "sweep_oracle_pt": ("sweep", "nrmse_vs_pt.cfg", ["--trials", "20"],
@@ -54,6 +70,12 @@ CASES = {
                            "cf67aefb308fe2301c4b68a094a8bc8d8d8209cee7b3ae86503813d5614bfdbc"),
     "spectrum_los": ("spectrum", LOS_SPECTRUM_CFG, [],
                      "d0a23bcae1f0a45a3154384b9f455946e5e0d02694a1d33c4fb433701387e4f2"),
+    "sweep_oracle_m": ("sweep", "nrmse_vs_m.cfg", ["--trials", "20"],
+                       "4cb350c812f99c7ad412404159d7ddf31723ed1cffcebe16da1fea9827b34b43"),
+    "sweep_estimated_pd_tracking": ("sweep", "snr_vs_pd.cfg", ["--trials", "3"],
+                                    "06537ff46cb87d9787196796f41fc809ca3abf22a99628fab7882f3076d4010b"),
+    "sweep_oracle_rho": ("sweep", RHO_SWEEP_CFG, ["--trials", "20"],
+                         "b1f760e19d38d738f61e0fa555ff7ab7cea463c360283eb4b6256f39f76ca421"),
 }
 
 
