@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +95,18 @@ _VALID_KEYS = tuple(_SPEC_KEYS) + (
 )
 
 
+def _parse_key(cfg: Dict[str, str], key: str, parse: Callable[[str], Any],
+               default: Any = None) -> Any:
+    """``parse(cfg[key])`` (``default`` when the key is absent), with the key
+    and its text leading a parse error."""
+    if key not in cfg:
+        return default
+    try:
+        return parse(cfg[key])
+    except ValueError as exc:
+        raise ValueError(f"{key} = {cfg[key]!r}: {exc}") from None
+
+
 def load_run_config(path: Optional[str]) -> Dict[str, str]:
     """Read a flat key=value config file; unknown keys are rejected."""
     if path is None:
@@ -121,15 +133,17 @@ def load_run_config(path: Optional[str]) -> Dict[str, str]:
 
 def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
     if "angles_deg" in cfg:
-        fixed = tuple(np.deg2rad(float(v)) for v in _parse_list(cfg["angles_deg"]))
+        fixed = _parse_key(cfg, "angles_deg",
+                           lambda text: tuple(np.deg2rad(float(v)) for v in _parse_list(text)))
         return AnglePolicy(fixed=fixed)
     kwargs = {}
     if "angle_low_deg" in cfg:
-        kwargs["low"] = float(np.deg2rad(float(cfg["angle_low_deg"])))
+        kwargs["low"] = float(np.deg2rad(_parse_key(cfg, "angle_low_deg", float)))
     if "angle_high_deg" in cfg:
-        kwargs["high"] = float(np.deg2rad(float(cfg["angle_high_deg"])))
+        kwargs["high"] = float(np.deg2rad(_parse_key(cfg, "angle_high_deg", float)))
     if "min_sep_deg" in cfg:
-        kwargs["min_sin_sep"] = float(np.sin(np.deg2rad(float(cfg["min_sep_deg"]))))
+        min_sep = _parse_key(cfg, "min_sep_deg", float)
+        kwargs["min_sin_sep"] = float(np.sin(np.deg2rad(min_sep)))
     return AnglePolicy(**kwargs)
 
 
@@ -141,7 +155,8 @@ def build_spec(cfg: Dict[str, str],
     Returns the spec and the failure-rate ceiling for the exit status.
     """
     kwargs: Dict[str, object] = {
-        field: parse(cfg[key]) for key, (field, parse) in _SPEC_KEYS.items() if key in cfg}
+        field: _parse_key(cfg, key, parse)
+        for key, (field, parse) in _SPEC_KEYS.items() if key in cfg}
     flags = vars(args) if args is not None else {}
     for key, (field, _) in _SPEC_KEYS.items():
         if flags.get(key) is not None:
@@ -150,22 +165,27 @@ def build_spec(cfg: Dict[str, str],
         kwargs["angle_stage"] = "oracle"
 
     if "subarrays" in cfg:
-        count = int(cfg["subarrays"])
+        count = _parse_key(cfg, "subarrays", int)
         if count < 0:
             raise ValueError(f"subarrays must be >= 0 (0 = auto), got {count}")
         kwargs["num_subarrays"] = count or None
-    noise_var = _parse_power(cfg["sigma2"]) if "sigma2" in cfg else 1.0
+    noise_var = _parse_key(cfg, "sigma2", _parse_power, 1.0)
     kwargs["noise_var"] = noise_var
     if "pt" in cfg:
-        kwargs["pilot_pow"] = _power_from_snr(_parse_power(cfg["pt"]), noise_var)
+        kwargs["pilot_pow"] = _power_from_snr(_parse_key(cfg, "pt", _parse_power), noise_var)
     if "pd" in cfg:
-        kwargs["data_pow"] = _power_from_snr(_parse_power(cfg["pd"]), noise_var)
+        kwargs["data_pow"] = _power_from_snr(_parse_key(cfg, "pd", _parse_power), noise_var)
     kwargs["angle_policy"] = _angle_policy_from(cfg)
     if "sweep_values" in cfg:
-        parse = _parse_power if kwargs.get("sweep_axis") in POWER_AXES else float
-        kwargs["sweep_values"] = tuple(parse(v) for v in _parse_list(cfg["sweep_values"]))
+        axis = kwargs.get("sweep_axis")
+        if axis is None:
+            raise ValueError(f"sweep_values given with no sweep axis; set axis to one "
+                             f"of {', '.join(_AXES)}")
+        parse = _parse_power if axis in POWER_AXES else float
+        kwargs["sweep_values"] = _parse_key(
+            cfg, "sweep_values", lambda text: tuple(parse(v) for v in _parse_list(text)))
 
-    ceiling = float(cfg.get("max_failure_rate", DEFAULT_MAX_FAILURE_RATE))
+    ceiling = _parse_key(cfg, "max_failure_rate", float, DEFAULT_MAX_FAILURE_RATE)
     if not 0.0 <= ceiling <= 1.0:
         raise ValueError(f"max_failure_rate must lie in [0, 1], got {ceiling}")
     return ExperimentSpec(**kwargs), ceiling
@@ -242,7 +262,7 @@ def _cmd_cdf(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> 
 
 def _cmd_spectrum(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
     _, _, block = draw_realization(spec, 0)
-    grid = spec.angle_grid()
+    grid = spec.angle_grid
     peaks = scan_angles(block, spec.num_paths, grid, spec.multipath, spec.num_subarrays)
     columns = [np.rad2deg(grid), bartlett_spectrum(sample_covariance(block), grid).values]
     header = ["angle_deg", "bartlett"]

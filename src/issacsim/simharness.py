@@ -9,6 +9,7 @@ therefore independent of execution order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -163,7 +164,9 @@ class ExperimentSpec:
             noise_var=self.noise_var,
         )
 
+    @functools.cached_property
     def angle_grid(self) -> np.ndarray:
+        """The scan grid, built once per spec and shared by its trials."""
         return make_angle_grid(self.grid_step_deg)
 
     def theory(self) -> ClosedFormPredictions:
@@ -248,7 +251,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         if spec.angle_stage == "oracle":
             thetas_hat = paths.angles
         else:
-            thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid(),
+            thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid,
                                      spec.multipath, spec.num_subarrays).angles
             angle_errors = match_angles(thetas_hat, paths.angles)
         h_lp = _issac_estimate(spec, block, thetas_hat)

@@ -157,21 +157,32 @@ def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovarianc
 
 def make_angle_grid(step_deg: float = 0.02, low_deg: float = -89.0,
                     high_deg: float = 89.0) -> np.ndarray:
-    """Uniform scan grid in radians over (low_deg, high_deg) inclusive."""
+    """Uniform scan grid in radians over (low_deg, high_deg) inclusive.
+
+    The grid is read-only, so that it can be shared by every trial of a run.
+    """
     if not -90.0 < low_deg < high_deg < 90.0:
         raise ValueError("grid must satisfy -90 < low < high < 90 degrees")
     if step_deg <= 0:
         raise ValueError("step_deg must be positive")
     n = int(round((high_deg - low_deg) / step_deg)) + 1
-    return np.deg2rad(np.linspace(low_deg, high_deg, n))
+    grid = np.deg2rad(np.linspace(low_deg, high_deg, n))
+    grid.setflags(write=False)
+    return grid
 
 
 _GRID_STEERING_CACHE: dict = {}
+# The last read-only grid scanned and its values as bytes: a run scans one
+# grid trial after trial, and this spares copying and hashing its values for
+# the cache key on every call. Writable grids are read afresh on each call.
+_LAST_GRID: list = [None, b""]
 
 
 def _grid_steering(num_antennas: int, grid: np.ndarray) -> np.ndarray:
     """Cached M x G steering matrix over a scan grid."""
-    key = (num_antennas, grid.tobytes())
+    if grid is not _LAST_GRID[0] or grid.flags.writeable:
+        _LAST_GRID[:] = [grid, grid.tobytes()]
+    key = (num_antennas, _LAST_GRID[1])
     mat = _GRID_STEERING_CACHE.get(key)
     if mat is None:
         m = np.arange(num_antennas)[:, None]
@@ -240,37 +251,33 @@ class AngleEstimates:
     spectrum: Pseudospectrum
 
 
-def _local_maxima(values: np.ndarray) -> List[int]:
+def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of strict local maxima; plateaus collapse to their center.
 
-    Runs touching either end of the grid are not maxima.
+    A run of equal samples is a maximum when it is strictly above the runs
+    on both sides; runs touching either end of the grid are not maxima.
     """
-    n = values.size
-    maxima = []
-    i = 1
-    while i < n - 1:
-        if values[i] <= values[i - 1]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        if j < n - 1 and values[j + 1] < values[i]:
-            maxima.append((i + j) // 2)
-        i = j + 1
-    return maxima
+    change = np.flatnonzero(values[1:] != values[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change - 1, [values.size - 1]))
+    # values[:1] rather than values[starts]: an empty vector has no runs.
+    run_values = np.concatenate((values[:1], values[change]))
+    inner = run_values[1:-1]
+    peaks = np.flatnonzero((inner > run_values[:-2]) & (inner > run_values[2:])) + 1
+    return (starts[peaks] + ends[peaks]) // 2
 
 
-def _refine_peak(grid: np.ndarray, values: np.ndarray, idx: int) -> float:
-    """Quadratic vertex through the peak sample and its two neighbors."""
+def _refine_peaks(grid: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Quadratic vertex through each peak sample and its two neighbors.
+
+    A peak whose three samples do not bend downward keeps its grid angle.
+    """
     left, mid, right = values[idx - 1], values[idx], values[idx + 1]
     denom = left - 2.0 * mid + right
-    if denom >= 0:
-        return grid[idx]
-    shift = 0.5 * (left - right) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.clip(0.5 * (left - right) / denom, -0.5, 0.5)
     half_span = 0.5 * (grid[idx + 1] - grid[idx - 1])
-    return float(grid[idx] + shift * half_span)
+    return np.where(denom >= 0, grid[idx], grid[idx] + shift * half_span)
 
 
 def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
@@ -286,11 +293,13 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
     if grid.size < 2 * num_peaks + 1:
         raise ValueError("grid too small for the requested number of peaks")
     maxima = _local_maxima(values)
-    if len(maxima) < num_peaks:
+    if maxima.size < num_peaks:
         raise EstimationError(
-            f"found {len(maxima)} spectral peaks, need {num_peaks}")
-    chosen = sorted(maxima, key=lambda k: (-values[k], k))[:num_peaks]
-    angles = np.sort([_refine_peak(grid, values, k) for k in chosen])
+            f"found {maxima.size} spectral peaks, need {num_peaks}")
+    # maxima ascend, so a stable sort on descending value keeps the smaller
+    # index first among equal peaks.
+    chosen = maxima[np.argsort(-values[maxima], kind="stable")[:num_peaks]]
+    angles = np.sort(_refine_peaks(grid, values, chosen))
     return AngleEstimates(angles=angles, spectrum=spectrum)
 
 

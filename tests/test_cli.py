@@ -145,6 +145,22 @@ class TestConfigParsing:
         assert "max_failure_rate" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("m = abc\n", "error: m = 'abc': invalid literal for int()"),
+        ("pt = -10 dBm\n", "error: pt = '-10 dBm': could not convert string to float"),
+        ("sweep_values = -10 dB, 0 dB\n",
+         "error: sweep_values given with no sweep axis; set axis to one of m, pt, pd, rho"),
+    ], ids=["spec_key", "composite_key", "sweep_values_without_axis"])
+    def test_bad_value_error_names_its_key(self, tmp_path, capsys, text, message):
+        cfg_path = _write(tmp_path, "run.cfg", text)
+        code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                     "--trials", "2", "--oracle-angles"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message)
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSweepCommand:
     def test_csv_contract_and_round_trip(self, tmp_path):

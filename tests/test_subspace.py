@@ -16,10 +16,12 @@ from issacsim.array_channel import (
     synthesize_channel,
 )
 from issacsim.errors import EstimationError
+from issacsim.simharness import ExperimentSpec, draw_realization
 from issacsim.subspace import (
     Pseudospectrum,
     SampleCovariance,
     SubarrayPlan,
+    _local_maxima,
     bartlett_spectrum,
     find_peaks,
     forward_backward_smooth,
@@ -27,6 +29,7 @@ from issacsim.subspace import (
     make_angle_grid,
     music_spectrum,
     sample_covariance,
+    scan_angles,
     subarray_covariances,
 )
 
@@ -184,6 +187,18 @@ class TestBartlett:
         one = bartlett_spectrum(SampleCovariance(matrix, 1), GRID)
         two = bartlett_spectrum(SampleCovariance(scale * matrix, 1), GRID)
         assert np.argmax(one.values) == np.argmax(two.values)
+
+    def test_grid_changed_in_place_is_scanned_afresh(self):
+        # make_angle_grid grids are read-only and shared by a run's trials;
+        # the steering cache must still follow a writable grid's new values.
+        assert not make_angle_grid(step_deg=1.0).flags.writeable
+        steer = steering_vector(UlaGeometry(6), 0.3)
+        cov = SampleCovariance(np.outer(steer, steer.conj()) + np.eye(6), 1)
+        grid = np.array(make_angle_grid(step_deg=1.0))
+        bartlett_spectrum(cov, grid)
+        grid += 0.25 * np.deg2rad(1.0)
+        np.testing.assert_array_equal(bartlett_spectrum(cov, grid).values,
+                                      bartlett_spectrum(cov, grid.copy()).values)
 
 
 class TestSubarrays:
@@ -352,12 +367,15 @@ class TestFindPeaks:
         found = find_peaks(Pseudospectrum(grid=grid, values=values), 1)
         assert found.angles[0] == grid[30]
 
-    def test_plateau_center(self):
+    @pytest.mark.parametrize("start, stop, center", [(50, 53, 51), (50, 54, 51)],
+                             ids=["odd_width", "even_width"])
+    def test_plateau_center(self, start, stop, center):
+        # an even-width plateau i..j picks (i + j) // 2, the left-middle sample
         grid = make_angle_grid(step_deg=1.0)
         values = np.zeros_like(grid)
-        values[50:53] = 1.0
+        values[start:stop] = 1.0
         found = find_peaks(Pseudospectrum(grid=grid, values=values), 1)
-        assert found.angles[0] == grid[51]
+        assert found.angles[0] == grid[center]
 
     def test_quadratic_refinement_hits_vertex(self):
         grid = make_angle_grid(step_deg=0.5)
@@ -375,16 +393,86 @@ class TestFindPeaks:
         found = find_peaks(Pseudospectrum(grid=grid, values=values), 2)
         np.testing.assert_array_equal(found.angles, [grid[20], grid[120]])
 
-    def test_too_few_maxima_raises(self):
+    @pytest.mark.parametrize("make_values", [
+        lambda n: np.linspace(0.0, 1.0, n),  # monotone, no interior max
+        lambda n: np.where(np.arange(n) < 5, 2.0, 1.0),  # plateau at the low end
+        lambda n: np.where(np.arange(n) >= n - 5, 2.0, 1.0),  # plateau at the high end
+        lambda n: np.full(n, 3.0),  # constant
+    ], ids=["monotone", "low_end_plateau", "high_end_plateau", "constant"])
+    def test_too_few_maxima_raises(self, make_values):
         grid = make_angle_grid(step_deg=1.0)
-        values = np.linspace(0.0, 1.0, grid.size)  # monotone, no interior max
-        with pytest.raises(EstimationError):
-            find_peaks(Pseudospectrum(grid=grid, values=values), 1)
+        spectrum = Pseudospectrum(grid=grid, values=make_values(grid.size))
+        with pytest.raises(EstimationError, match=r"^found 0 spectral peaks, need 1$"):
+            find_peaks(spectrum, 1)
 
     def test_grid_too_small_rejected(self):
         grid = np.array([-0.1, 0.0, 0.1])
         with pytest.raises(ValueError):
             find_peaks(Pseudospectrum(grid=grid, values=np.zeros(3)), 2)
+
+
+# The per-sample loops find_peaks used before its run-length form, kept
+# verbatim as the reference that the array version must match exactly.
+def _reference_local_maxima(values):
+    n = values.size
+    maxima = []
+    i = 1
+    while i < n - 1:
+        if values[i] <= values[i - 1]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and values[j + 1] == values[i]:
+            j += 1
+        if j < n - 1 and values[j + 1] < values[i]:
+            maxima.append((i + j) // 2)
+        i = j + 1
+    return maxima
+
+
+def _reference_refine_peak(grid, values, idx):
+    left, mid, right = values[idx - 1], values[idx], values[idx + 1]
+    denom = left - 2.0 * mid + right
+    if denom >= 0:
+        return grid[idx]
+    shift = 0.5 * (left - right) / denom
+    shift = float(np.clip(shift, -0.5, 0.5))
+    half_span = 0.5 * (grid[idx + 1] - grid[idx - 1])
+    return float(grid[idx] + shift * half_span)
+
+
+def _reference_peak_angles(spectrum, num_peaks):
+    grid, values = spectrum.grid, spectrum.values
+    maxima = _reference_local_maxima(values)
+    chosen = sorted(maxima, key=lambda k: (-values[k], k))[:num_peaks]
+    return np.sort([_reference_refine_peak(grid, values, k) for k in chosen])
+
+
+class TestPeakSearchMatchesReferenceLoop:
+    # A 3- or 4-letter alphabet makes plateaus, equal peaks and runs at
+    # either end common.
+    @given(st.integers(min_value=3, max_value=4).flatmap(
+        lambda k: st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0][:k]), max_size=60)))
+    @settings(max_examples=500, deadline=None)
+    def test_random_plateau_vectors(self, samples):
+        values = np.array(samples, dtype=float)
+        expected = _reference_local_maxima(values)
+        assert _local_maxima(values).tolist() == expected
+        if values.size >= 3 and expected:
+            spectrum = Pseudospectrum(grid=np.linspace(-1.0, 1.0, values.size),
+                                      values=values)
+            num_peaks = min(len(expected), (values.size - 1) // 2, 3)
+            np.testing.assert_array_equal(find_peaks(spectrum, num_peaks).angles,
+                                          _reference_peak_angles(spectrum, num_peaks))
+
+    @pytest.mark.parametrize("mode, num_paths", [("multipath", 3), ("los", 1)])
+    def test_seeded_reference_spectra_bit_equal(self, mode, num_paths):
+        spec = ExperimentSpec(mode=mode, num_paths=num_paths, base_seed=11)
+        for trial in range(4):
+            _, _, block = draw_realization(spec, trial)
+            found = scan_angles(block, num_paths, spec.angle_grid, spec.multipath, None)
+            expected = _reference_peak_angles(found.spectrum, num_paths)
+            np.testing.assert_array_equal(found.angles, expected)
 
 
 class TestConsistency:
