@@ -264,7 +264,10 @@ def _cmd_spectrum(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace
     _, _, block = draw_realization(spec, 0)
     grid = spec.angle_grid
     peaks = scan_angles(block, spec.num_paths, grid, spec.multipath, spec.num_subarrays)
-    columns = [np.rad2deg(grid), bartlett_spectrum(sample_covariance(block), grid).values]
+    # In LoS mode scan_angles has already scanned the Bartlett spectrum.
+    bartlett = (bartlett_spectrum(sample_covariance(block), grid) if spec.multipath
+                else peaks.spectrum)
+    columns = [np.rad2deg(grid), bartlett.values]
     header = ["angle_deg", "bartlett"]
     if spec.multipath:
         columns.append(peaks.spectrum.values)

@@ -7,6 +7,7 @@ and MUSIC on the smoothed matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import ceil
 from typing import List, Optional, Sequence
@@ -121,18 +122,16 @@ def subarray_covariances(block: ReceivedBlock, plan: SubarrayPlan) -> List[Sampl
     """Per-subarray snapshot covariances over both pilot and data snapshots.
 
     Subarray p (0-based) sees rows p .. p + subarray_size - 1 of every
-    snapshot.
+    snapshot, so its covariance is the block R[p:p + subarray_size,
+    p:p + subarray_size] of the full-array ``sample_covariance`` R.
     """
     if plan.parent_size != block.num_antennas:
         raise ValueError("plan parent_size does not match the block")
-    snapshots = np.hstack([block.pilot_obs, block.data_obs])
-    n = snapshots.shape[1]
-    covs = []
-    for p in range(plan.num_subarrays):
-        sub = snapshots[p:p + plan.subarray_size, :]
-        covs.append(SampleCovariance(matrix=_symmetrize(sub @ sub.conj().T / n),
-                                     num_snapshots=n))
-    return covs
+    full = sample_covariance(block)
+    m_sub = plan.subarray_size
+    return [SampleCovariance(matrix=full.matrix[p:p + m_sub, p:p + m_sub],
+                             num_snapshots=full.num_snapshots)
+            for p in range(plan.num_subarrays)]
 
 
 def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovariance:
@@ -213,10 +212,39 @@ class Pseudospectrum:
         object.__setattr__(self, "values", values)
 
 
+@functools.lru_cache(maxsize=64)
+def _diagonal_index(dim: int):
+    """Flat indices of the upper triangle of a dim x dim matrix, diagonal by
+    diagonal, and the offset at which each diagonal k = 0 .. dim - 1 starts."""
+    lengths = np.arange(dim, 0, -1)
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    k = np.repeat(np.arange(dim), lengths)
+    m = np.arange(k.size) - starts[k]
+    flat = m * (dim + 1) + k
+    flat.setflags(write=False)
+    starts.setflags(write=False)
+    return flat, starts
+
+
+def _diagonal_sums(matrix: np.ndarray) -> np.ndarray:
+    """c[k] = sum_m matrix[m, m + k], the k-th superdiagonal sum, k = 0 .. dim - 1."""
+    flat, starts = _diagonal_index(matrix.shape[0])
+    return np.add.reduceat(matrix.ravel()[flat], starts)
+
+
 def bartlett_spectrum(cov: SampleCovariance, grid: np.ndarray) -> Pseudospectrum:
-    """Scanned beamformer power a(theta)^H R a(theta) over the grid."""
+    """Scanned beamformer power a(theta)^H R a(theta) over the grid.
+
+    For a half-wavelength ULA, a(theta)^H R a(theta) is the trigonometric
+    polynomial c_0 + 2 Re sum_{k=1}^{M-1} c_k exp(j pi k sin(theta)) in the
+    superdiagonal sums c_k = sum_m R[m, m + k] of the Hermitian R, and rows
+    1 .. M-1 of the grid steering matrix hold exactly exp(j pi k sin(theta)).
+    The scan is one (M-1)-vector times (M-1) x G product: (M-1) G
+    multiply-adds instead of the M^2 G of forming R a(theta).
+    """
     steer = _grid_steering(cov.dim, grid)
-    values = np.einsum("mg,mg->g", steer.conj(), cov.matrix @ steer).real
+    sums = _diagonal_sums(cov.matrix)
+    values = sums[0].real + 2.0 * (sums[1:] @ steer[1:]).real
     # Hermitian quadratic form; clip the fp dust that can dip below zero.
     return Pseudospectrum(grid=grid, values=np.maximum(values, 0.0))
 

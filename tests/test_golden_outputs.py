@@ -67,9 +67,9 @@ CASES = {
     "cdf_estimated_los": ("cdf", LOS_CDF_CFG, ["--trials", "20"],
                           "53fe6149f475f599be22cbef8962100e03ef6b405682af8dbc167db796f79dca"),
     "spectrum_multipath": ("spectrum", "spectrum_demo.cfg", [],
-                           "cf67aefb308fe2301c4b68a094a8bc8d8d8209cee7b3ae86503813d5614bfdbc"),
+                           "c01239b5622977e34f5ec84dbafa935fb6f85092fb60d5d553e0623e43eaceeb"),
     "spectrum_los": ("spectrum", LOS_SPECTRUM_CFG, [],
-                     "d0a23bcae1f0a45a3154384b9f455946e5e0d02694a1d33c4fb433701387e4f2"),
+                     "e8d55c22cd72d07667acc6200f7f076732c75c0a59bb97d406f046c619d855b2"),
     "sweep_oracle_m": ("sweep", "nrmse_vs_m.cfg", ["--trials", "20"],
                        "4cb350c812f99c7ad412404159d7ddf31723ed1cffcebe16da1fea9827b34b43"),
     "sweep_estimated_pd_tracking": ("sweep", "snr_vs_pd.cfg", ["--trials", "3"],

@@ -21,6 +21,7 @@ from issacsim.subspace import (
     Pseudospectrum,
     SampleCovariance,
     SubarrayPlan,
+    _diagonal_sums,
     _local_maxima,
     bartlett_spectrum,
     find_peaks,
@@ -201,7 +202,77 @@ class TestBartlett:
                                       bartlett_spectrum(cov, grid.copy()).values)
 
 
+# The einsum form bartlett_spectrum used before its diagonal-sum form, kept
+# as the reference the polynomial evaluation must match to rounding.
+def _reference_bartlett_values(cov, grid):
+    steer = np.exp(1j * np.pi * np.outer(np.arange(cov.dim), np.sin(grid)))
+    values = np.einsum("mg,mg->g", steer.conj(), cov.matrix @ steer).real
+    return np.maximum(values, 0.0)
+
+
+class TestBartlettPolynomial:
+    @given(seed=st.integers(0, 10**6), dim=st.integers(1, 12),
+           grid=st.lists(st.floats(min_value=-1.55, max_value=1.55),
+                         min_size=1, max_size=25, unique=True).map(sorted))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce_quadratic_form(self, seed, dim, grid):
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, dim + 1))
+        factor = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        matrix = factor @ factor.conj().T
+        grid = np.array(grid)
+        steers = [steering_vector(UlaGeometry(dim), theta) for theta in grid]
+        expected = [np.vdot(steer, matrix @ steer).real for steer in steers]
+        values = bartlett_spectrum(SampleCovariance(matrix, 1), grid).values
+        np.testing.assert_allclose(values, expected, rtol=0,
+                                   atol=1e-12 * np.trace(matrix).real)
+
+    @given(seed=st.integers(0, 10**6), dim=st.integers(1, 12),
+           offset=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_diagonal_sums_match_traces(self, seed, dim, offset):
+        # offset > 0 passes a non-contiguous principal submatrix view, as
+        # subarray_covariances returns.
+        rng = np.random.default_rng(seed)
+        size = dim + offset
+        parent = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        matrix = parent[offset:, offset:]
+        expected = [np.trace(matrix, k) for k in range(dim)]
+        np.testing.assert_allclose(_diagonal_sums(matrix), expected, rtol=1e-13,
+                                   atol=1e-14 * np.abs(matrix).sum())
+
+    def test_seeded_los_trials_match_einsum_reference(self):
+        spec = ExperimentSpec(mode="los", num_paths=1, base_seed=11)
+        grid = spec.angle_grid
+        for trial in range(25):
+            _, _, block = draw_realization(spec, trial)
+            cov = sample_covariance(block)
+            spectrum = bartlett_spectrum(cov, grid)
+            expected = _reference_bartlett_values(cov, grid)
+            np.testing.assert_allclose(spectrum.values, expected, rtol=0,
+                                       atol=1e-13 * expected.max())
+            reference = find_peaks(Pseudospectrum(grid=grid, values=expected), 1)
+            np.testing.assert_allclose(find_peaks(spectrum, 1).angles,
+                                       reference.angles, rtol=0, atol=1e-12)
+
+
 class TestSubarrays:
+    def test_principal_submatrices_of_sample_covariance(self):
+        rng = np.random.default_rng(31)
+        snapshots = rng.standard_normal((7, 20)) + 1j * rng.standard_normal((7, 20))
+        block = _block_from_snapshots(snapshots, pilot_len=4)
+        plan = SubarrayPlan(num_subarrays=3, subarray_size=5, parent_size=7)
+        full = sample_covariance(block).matrix
+        covs = subarray_covariances(block, plan)
+        assert len(covs) == 3
+        for p, cov in enumerate(covs):
+            np.testing.assert_array_equal(cov.matrix, full[p:p + 5, p:p + 5])
+            assert cov.num_snapshots == 20
+            # the per-subarray snapshot product, up to summation order
+            sub = snapshots[p:p + 5]
+            np.testing.assert_allclose(cov.matrix, sub @ sub.conj().T / 20,
+                                       rtol=0, atol=1e-14 * np.abs(full).max())
+
     def test_degenerate_plan_matches_full_covariance(self):
         rng = np.random.default_rng(4)
         block = _block_from_snapshots(
