@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every shipped experiment config and collect the CSV outputs.
+"""Run every shipped experiment config but one and collect the CSV outputs.
+
+configs/reference_point.cfg is not run: it spells out the reference
+operating point key by key for a hand-run ``issacsim cdf``; snr_cdf.cfg
+runs the same point with its own seed and trial count.
 
 Produces, under --outdir (default ./results):
 

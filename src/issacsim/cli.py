@@ -49,11 +49,18 @@ DEFAULT_MAX_FAILURE_RATE = 0.1
 
 
 def _parse_power(text: str) -> float:
-    """Linear ratio from either a bare number or '<x> dB'."""
+    """Finite linear ratio from either a bare number or '<x> dB'."""
     stripped = text.strip()
-    if stripped.lower().endswith("db"):
-        return _from_db(float(stripped[:-2].strip()))
-    return float(stripped)
+    try:
+        if stripped.lower().endswith("db"):
+            value = _from_db(float(stripped[:-2].strip()))
+        else:
+            value = float(stripped)
+    except OverflowError:
+        value = float("inf")
+    if not np.isfinite(value):
+        raise ValueError("power must be finite")
+    return value
 
 
 def _parse_bool(text: str) -> bool:

@@ -133,6 +133,8 @@ class ExperimentSpec:
             raise ValueError("gain estimation needs pilot_len >= 1")
         if self.angle_hold_trials < 1:
             raise ValueError("angle_hold_trials must be >= 1")
+        if not 0 < self.grid_step_deg < np.inf:
+            raise ValueError(f"grid_step_deg must be finite and > 0, got {self.grid_step_deg}")
         if self.sweep_axis is not None and self.sweep_axis not in _AXES:
             raise ValueError(
                 f"unknown sweep axis {self.sweep_axis!r}; valid axes: {', '.join(_AXES)}")

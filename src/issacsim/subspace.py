@@ -170,26 +170,6 @@ def make_angle_grid(step_deg: float = 0.02, low_deg: float = -89.0,
     return grid
 
 
-_GRID_STEERING_CACHE: dict = {}
-# The last read-only grid scanned and its values as bytes: a run scans one
-# grid trial after trial, and this spares copying and hashing its values for
-# the cache key on every call. Writable grids are read afresh on each call.
-_LAST_GRID: list = [None, b""]
-
-
-def _grid_steering(num_antennas: int, grid: np.ndarray) -> np.ndarray:
-    """Cached M x G steering matrix over a scan grid."""
-    if grid is not _LAST_GRID[0] or grid.flags.writeable:
-        _LAST_GRID[:] = [grid, grid.tobytes()]
-    key = (num_antennas, _LAST_GRID[1])
-    mat = _GRID_STEERING_CACHE.get(key)
-    if mat is None:
-        m = np.arange(num_antennas)[:, None]
-        mat = np.exp(1j * np.pi * m * np.sin(grid)[None, :])
-        _GRID_STEERING_CACHE[key] = mat
-    return mat
-
-
 @dataclass(frozen=True)
 class Pseudospectrum:
     """Scan values over an increasing angle grid (radians)."""
@@ -232,19 +212,39 @@ def _diagonal_sums(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduceat(matrix.ravel()[flat], starts)
 
 
-def bartlett_spectrum(cov: SampleCovariance, grid: np.ndarray) -> Pseudospectrum:
-    """Scanned beamformer power a(theta)^H R a(theta) over the grid.
+# The last read-only grid scanned and its rows exp(j pi k sin(theta)),
+# k = 1 .. K, reused for equal grid values (a run scans one grid trial after
+# trial) and fewer rows. A writable grid may change in place: never reused.
+_GRID_ROWS: list = [None, None]
 
-    For a half-wavelength ULA, a(theta)^H R a(theta) is the trigonometric
-    polynomial c_0 + 2 Re sum_{k=1}^{M-1} c_k exp(j pi k sin(theta)) in the
-    superdiagonal sums c_k = sum_m R[m, m + k] of the Hermitian R, and rows
-    1 .. M-1 of the grid steering matrix hold exactly exp(j pi k sin(theta)).
-    The scan is one (M-1)-vector times (M-1) x G product: (M-1) G
-    multiply-adds instead of the M^2 G of forming R a(theta).
+
+def _grid_rows(grid: np.ndarray, count: int) -> np.ndarray:
+    """Rows exp(j pi k sin(theta)), k = 1 .. count, over the grid."""
+    cached, rows = _GRID_ROWS
+    if cached is None or rows.shape[0] < count or not (
+            grid is cached or np.array_equal(grid, cached)):
+        rows = 1j * np.pi * np.arange(1, count + 1)[:, None] * np.sin(grid)[None, :]
+        np.exp(rows, out=rows)
+        _GRID_ROWS[:] = [None if grid.flags.writeable else grid, rows]
+    return rows[:count]
+
+
+def _quadratic_form(matrix: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """a(theta)^H Q a(theta) over the grid for a Hermitian Q.
+
+    For a half-wavelength ULA this is the trigonometric polynomial
+    c_0 + 2 Re sum_{k=1}^{dim-1} c_k exp(j pi k sin(theta)) in the
+    superdiagonal sums c_k = sum_m Q[m, m + k]: one (dim-1)-vector times
+    (dim-1) x G product, (dim-1) G multiply-adds.
     """
-    steer = _grid_steering(cov.dim, grid)
-    sums = _diagonal_sums(cov.matrix)
-    values = sums[0].real + 2.0 * (sums[1:] @ steer[1:]).real
+    sums = _diagonal_sums(matrix)
+    return sums[0].real + 2.0 * (sums[1:] @ _grid_rows(grid, sums.size - 1)).real
+
+
+def bartlett_spectrum(cov: SampleCovariance, grid: np.ndarray) -> Pseudospectrum:
+    """Scanned beamformer power a(theta)^H R a(theta) over the grid, in
+    (M-1) G multiply-adds instead of the M^2 G of forming R a(theta)."""
+    values = _quadratic_form(cov.matrix, grid)
     # Hermitian quadratic form; clip the fp dust that can dip below zero.
     return Pseudospectrum(grid=grid, values=np.maximum(values, 0.0))
 
@@ -255,8 +255,8 @@ def music_spectrum(cov: SampleCovariance, num_sources: int,
 
     E_n spans the eigenvectors of the dim - num_sources smallest
     eigenvalues. The denominator is evaluated through the signal-subspace
-    complement ||a||^2 - ||E_s^H a||^2, which is algebraically identical
-    and cheaper when num_sources << dim.
+    complement ||a||^2 - a^H E_s E_s^H a, which is algebraically identical
+    and costs (dim-1) G multiply-adds whatever num_sources is.
     """
     if num_sources >= cov.dim:
         raise ValueError("num_sources must be smaller than the covariance dimension")
@@ -264,9 +264,8 @@ def music_spectrum(cov: SampleCovariance, num_sources: int,
         raise ValueError("num_sources must be >= 1")
     _, eigvecs = hermitian_eigendecomposition(cov)
     signal_basis = eigvecs[:, cov.dim - num_sources:]
-    steer = _grid_steering(cov.dim, grid)
-    projected = signal_basis.conj().T @ steer
-    denom = cov.dim - np.sum(np.abs(projected) ** 2, axis=0)
+    projector = signal_basis @ signal_basis.conj().T
+    denom = cov.dim - _quadratic_form(projector, grid)
     values = 1.0 / np.maximum(denom, _MUSIC_FLOOR)
     return Pseudospectrum(grid=grid, values=values)
 

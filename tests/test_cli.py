@@ -150,13 +150,24 @@ class TestConfigParsing:
         ("pt = -10 dBm\n", "error: pt = '-10 dBm': could not convert string to float"),
         ("sweep_values = -10 dB, 0 dB\n",
          "error: sweep_values given with no sweep axis; set axis to one of m, pt, pd, rho"),
-    ], ids=["spec_key", "composite_key", "sweep_values_without_axis"])
+        ("pt = nan\n", "error: pt = 'nan': power must be finite"),
+        ("pd = inf\n", "error: pd = 'inf': power must be finite"),
+        ("sigma2 = 10000 dB\n", "error: sigma2 = '10000 dB': power must be finite"),
+        ("axis = pd\nsweep_values = 0 dB, inf dB\n",
+         "error: sweep_values = '0 dB, inf dB': power must be finite"),
+        ("grid_step_deg = -1\n", "error: grid_step_deg must be finite and > 0, got -1.0"),
+        ("grid_step_deg = nan\n", "error: grid_step_deg must be finite and > 0, got nan"),
+    ], ids=["spec_key", "composite_key", "sweep_values_without_axis", "nan_power",
+            "infinite_power", "overflowing_db_power", "infinite_power_axis_value",
+            "negative_grid_step", "nan_grid_step"])
     def test_bad_value_error_names_its_key(self, tmp_path, capsys, text, message):
         cfg_path = _write(tmp_path, "run.cfg", text)
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
                      "--trials", "2", "--oracle-angles"])
         assert code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert len(err.splitlines()) == 1
         assert err.startswith(message)
         assert not (tmp_path / "x.csv").exists()

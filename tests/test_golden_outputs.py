@@ -67,7 +67,7 @@ CASES = {
     "cdf_estimated_los": ("cdf", LOS_CDF_CFG, ["--trials", "20"],
                           "53fe6149f475f599be22cbef8962100e03ef6b405682af8dbc167db796f79dca"),
     "spectrum_multipath": ("spectrum", "spectrum_demo.cfg", [],
-                           "c01239b5622977e34f5ec84dbafa935fb6f85092fb60d5d553e0623e43eaceeb"),
+                           "a14bf514d7c5734986ba7549df242c0e26b8d35af4d611f9e8a79bb98137552d"),
     "spectrum_los": ("spectrum", LOS_SPECTRUM_CFG, [],
                      "e8d55c22cd72d07667acc6200f7f076732c75c0a59bb97d406f046c619d855b2"),
     "sweep_oracle_m": ("sweep", "nrmse_vs_m.cfg", ["--trials", "20"],

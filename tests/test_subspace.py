@@ -1,5 +1,7 @@
 """Tests for covariance estimation, smoothing, and spectral angle search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,24 @@ class TestEigendecomposition:
         assert np.linalg.norm(gram - np.eye(dim)) < 1e-10
 
 
+# The einsum form bartlett_spectrum used before its diagonal-sum form, and
+# the signal-subspace projection music_spectrum used before it, kept as the
+# references the polynomial evaluation must match to rounding.
+def _reference_bartlett_values(cov, grid):
+    steer = np.exp(1j * np.pi * np.outer(np.arange(cov.dim), np.sin(grid)))
+    values = np.einsum("mg,mg->g", steer.conj(), cov.matrix @ steer).real
+    return np.maximum(values, 0.0)
+
+
+def _reference_music_values(cov, num_sources, grid):
+    _, eigvecs = hermitian_eigendecomposition(cov)
+    signal_basis = eigvecs[:, cov.dim - num_sources:]
+    steer = np.exp(1j * np.pi * np.arange(cov.dim)[:, None] * np.sin(grid)[None, :])
+    projected = signal_basis.conj().T @ steer
+    denom = cov.dim - np.sum(np.abs(projected) ** 2, axis=0)
+    return 1.0 / np.maximum(denom, 1e-12)
+
+
 class TestBartlett:
     def test_peak_height_on_matched_angle(self):
         geom = UlaGeometry(6)
@@ -189,25 +209,36 @@ class TestBartlett:
         two = bartlett_spectrum(SampleCovariance(scale * matrix, 1), GRID)
         assert np.argmax(one.values) == np.argmax(two.values)
 
-    def test_grid_changed_in_place_is_scanned_afresh(self):
+    @pytest.mark.parametrize("scan, reference", [
+        (bartlett_spectrum, _reference_bartlett_values),
+        (lambda cov, grid: music_spectrum(cov, 1, grid),
+         lambda cov, grid: _reference_music_values(cov, 1, grid)),
+    ], ids=["bartlett", "music"])
+    def test_grid_changed_in_place_is_scanned_afresh(self, scan, reference):
         # make_angle_grid grids are read-only and shared by a run's trials;
-        # the steering cache must still follow a writable grid's new values.
+        # the grid rows table must still follow a writable grid's new values.
         assert not make_angle_grid(step_deg=1.0).flags.writeable
         steer = steering_vector(UlaGeometry(6), 0.3)
         cov = SampleCovariance(np.outer(steer, steer.conj()) + np.eye(6), 1)
         grid = np.array(make_angle_grid(step_deg=1.0))
-        bartlett_spectrum(cov, grid)
+        scan(cov, grid)
         grid += 0.25 * np.deg2rad(1.0)
-        np.testing.assert_array_equal(bartlett_spectrum(cov, grid).values,
-                                      bartlett_spectrum(cov, grid.copy()).values)
+        np.testing.assert_allclose(scan(cov, grid).values, reference(cov, grid),
+                                   rtol=1e-9)
 
-
-# The einsum form bartlett_spectrum used before its diagonal-sum form, kept
-# as the reference the polynomial evaluation must match to rounding.
-def _reference_bartlett_values(cov, grid):
-    steer = np.exp(1j * np.pi * np.outer(np.arange(cov.dim), np.sin(grid)))
-    values = np.einsum("mg,mg->g", steer.conj(), cov.matrix @ steer).real
-    return np.maximum(values, 0.0)
+    def test_distinct_grids_leave_one_rows_table(self):
+        # A process that scans many read-only grids keeps only the last
+        # grid's rows alive: 31 x G complex values at M = 32.
+        cov = SampleCovariance(np.eye(32), 1)
+        table_bytes = 31 * make_angle_grid().size * 16
+        tracemalloc.start()
+        try:
+            for i in range(10):
+                bartlett_spectrum(cov, make_angle_grid(step_deg=0.02 + 0.0005 * i))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * table_bytes
 
 
 class TestBartlettPolynomial:
@@ -241,18 +272,26 @@ class TestBartlettPolynomial:
         np.testing.assert_allclose(_diagonal_sums(matrix), expected, rtol=1e-13,
                                    atol=1e-14 * np.abs(matrix).sum())
 
-    def test_seeded_los_trials_match_einsum_reference(self):
-        spec = ExperimentSpec(mode="los", num_paths=1, base_seed=11)
+    @pytest.mark.parametrize("mode, num_paths", [("los", 1), ("multipath", 3)])
+    def test_seeded_trials_match_reference(self, mode, num_paths):
+        spec = ExperimentSpec(mode=mode, num_paths=num_paths, base_seed=11)
         grid = spec.angle_grid
         for trial in range(25):
             _, _, block = draw_realization(spec, trial)
-            cov = sample_covariance(block)
-            spectrum = bartlett_spectrum(cov, grid)
-            expected = _reference_bartlett_values(cov, grid)
-            np.testing.assert_allclose(spectrum.values, expected, rtol=0,
-                                       atol=1e-13 * expected.max())
-            reference = find_peaks(Pseudospectrum(grid=grid, values=expected), 1)
-            np.testing.assert_allclose(find_peaks(spectrum, 1).angles,
+            if spec.multipath:
+                plan = SubarrayPlan.for_sources(spec.num_antennas, num_paths)
+                cov = forward_backward_smooth(subarray_covariances(block, plan))
+                spectrum = music_spectrum(cov, num_paths, grid)
+                expected = _reference_music_values(cov, num_paths, grid)
+                np.testing.assert_allclose(spectrum.values, expected, rtol=1e-11)
+            else:
+                cov = sample_covariance(block)
+                spectrum = bartlett_spectrum(cov, grid)
+                expected = _reference_bartlett_values(cov, grid)
+                np.testing.assert_allclose(spectrum.values, expected, rtol=0,
+                                           atol=1e-13 * expected.max())
+            reference = find_peaks(Pseudospectrum(grid=grid, values=expected), num_paths)
+            np.testing.assert_allclose(find_peaks(spectrum, num_paths).angles,
                                        reference.angles, rtol=0, atol=1e-12)
 
 
@@ -392,19 +431,25 @@ class TestMusicSpectrum:
         peaks = find_peaks(spectrum, 2)
         np.testing.assert_allclose(peaks.angles, thetas, atol=GRID_STEP)
 
-    def test_matches_noise_subspace_form(self):
+    @given(seed=st.integers(0, 10**6), dim=st.integers(2, 12),
+           data=st.data(),
+           grid=st.lists(st.floats(min_value=-1.55, max_value=1.55),
+                         min_size=1, max_size=25, unique=True).map(sorted))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_noise_subspace_form(self, seed, dim, data, grid):
         # the shipped complement evaluation must equal 1/||E_n^H a||^2
-        rng = np.random.default_rng(17)
-        matrix = _random_hermitian(rng, 6)
-        matrix = matrix @ matrix.conj().T
-        cov = SampleCovariance(matrix, 1)
-        grid = make_angle_grid(step_deg=1.0)
-        spectrum = music_spectrum(cov, 2, grid)
-        eigvals, eigvecs = hermitian_eigendecomposition(cov)
-        noise_basis = eigvecs[:, :4]
-        steer = np.exp(1j * np.pi * np.outer(np.arange(6), np.sin(grid)))
+        num_sources = data.draw(st.integers(1, dim - 1), label="num_sources")
+        matrix = _random_hermitian(np.random.default_rng(seed), dim)
+        cov = SampleCovariance(matrix @ matrix.conj().T, 1)
+        grid = np.array(grid)
+        spectrum = music_spectrum(cov, num_sources, grid)
+        _, eigvecs = hermitian_eigendecomposition(cov)
+        noise_basis = eigvecs[:, :dim - num_sources]
+        steer = np.exp(1j * np.pi * np.outer(np.arange(dim), np.sin(grid)))
         denom = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0)
-        np.testing.assert_allclose(spectrum.values, 1.0 / denom, rtol=1e-9)
+        # compare denominators: a^H a = dim bounds their rounding error
+        np.testing.assert_allclose(1.0 / spectrum.values, denom, rtol=0,
+                                   atol=1e-12 * dim)
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=20, deadline=None)
