@@ -113,7 +113,7 @@ class ExperimentSpec:
     num_trials: int = 2000
     base_seed: int = 0
     angle_stage: str = "estimated"
-    grid_step_deg: float = 0.02
+    grid_step_deg: float = 0.5
     num_subarrays: Optional[int] = None
     angle_hold_trials: int = 1
     sweep_axis: Optional[str] = None

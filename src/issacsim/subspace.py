@@ -36,6 +36,10 @@ __all__ = [
 _HERMITIAN_TOL = 1e-10
 # Floors the MUSIC denominator so exactly-orthogonal grid points stay finite.
 _MUSIC_FLOOR = 1e-12
+# Newton steps per spectral peak. From a sample of a 0.5 deg grid most
+# peaks are within rounding of their maximum after four; one whose first
+# step overshoots to the edge of its bracket can take six.
+_NEWTON_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovarianc
                             num_snapshots=covs[0].num_snapshots)
 
 
-def make_angle_grid(step_deg: float = 0.02, low_deg: float = -89.0,
+def make_angle_grid(step_deg: float = 0.5, low_deg: float = -89.0,
                     high_deg: float = 89.0) -> np.ndarray:
     """Uniform scan grid in radians over (low_deg, high_deg) inclusive.
 
@@ -162,8 +166,8 @@ def make_angle_grid(step_deg: float = 0.02, low_deg: float = -89.0,
     """
     if not -90.0 < low_deg < high_deg < 90.0:
         raise ValueError("grid must satisfy -90 < low < high < 90 degrees")
-    if step_deg <= 0:
-        raise ValueError("step_deg must be positive")
+    if not 0 < step_deg < np.inf:
+        raise ValueError(f"step_deg must be finite and > 0, got {step_deg}")
     n = int(round((high_deg - low_deg) / step_deg)) + 1
     grid = np.deg2rad(np.linspace(low_deg, high_deg, n))
     grid.setflags(write=False)
@@ -172,10 +176,17 @@ def make_angle_grid(step_deg: float = 0.02, low_deg: float = -89.0,
 
 @dataclass(frozen=True)
 class Pseudospectrum:
-    """Scan values over an increasing angle grid (radians)."""
+    """Scan values over an increasing angle grid (radians).
+
+    ``sums`` are the superdiagonal sums c_k of a Hermitian Q whose quadratic
+    form f(u) = a(u)^H Q a(u) = c_0 + 2 Re sum_k c_k exp(j pi k u), with
+    u = sin(theta), the values increase with; ``find_peaks`` refines each
+    peak on f. A spectrum without sums has its peaks at grid angles.
+    """
 
     grid: np.ndarray
     values: np.ndarray
+    sums: Optional[np.ndarray] = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -190,6 +201,8 @@ class Pseudospectrum:
             raise ValueError("values must be finite and nonnegative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        if self.sums is not None:
+            object.__setattr__(self, "sums", np.asarray(self.sums, dtype=np.complex128))
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,24 +242,24 @@ def _grid_rows(grid: np.ndarray, count: int) -> np.ndarray:
     return rows[:count]
 
 
-def _quadratic_form(matrix: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """a(theta)^H Q a(theta) over the grid for a Hermitian Q.
+def _quadratic_form(matrix: np.ndarray, grid: np.ndarray):
+    """a(theta)^H Q a(theta) over the grid for a Hermitian Q, with the sums.
 
     For a half-wavelength ULA this is the trigonometric polynomial
     c_0 + 2 Re sum_{k=1}^{dim-1} c_k exp(j pi k sin(theta)) in the
     superdiagonal sums c_k = sum_m Q[m, m + k]: one (dim-1)-vector times
-    (dim-1) x G product, (dim-1) G multiply-adds.
+    (dim-1) x G product, (dim-1) G multiply-adds. Returns (sums, values).
     """
     sums = _diagonal_sums(matrix)
-    return sums[0].real + 2.0 * (sums[1:] @ _grid_rows(grid, sums.size - 1)).real
+    return sums, sums[0].real + 2.0 * (sums[1:] @ _grid_rows(grid, sums.size - 1)).real
 
 
 def bartlett_spectrum(cov: SampleCovariance, grid: np.ndarray) -> Pseudospectrum:
     """Scanned beamformer power a(theta)^H R a(theta) over the grid, in
     (M-1) G multiply-adds instead of the M^2 G of forming R a(theta)."""
-    values = _quadratic_form(cov.matrix, grid)
+    sums, values = _quadratic_form(cov.matrix, grid)
     # Hermitian quadratic form; clip the fp dust that can dip below zero.
-    return Pseudospectrum(grid=grid, values=np.maximum(values, 0.0))
+    return Pseudospectrum(grid=grid, values=np.maximum(values, 0.0), sums=sums)
 
 
 def music_spectrum(cov: SampleCovariance, num_sources: int,
@@ -256,7 +269,9 @@ def music_spectrum(cov: SampleCovariance, num_sources: int,
     E_n spans the eigenvectors of the dim - num_sources smallest
     eigenvalues. The denominator is evaluated through the signal-subspace
     complement ||a||^2 - a^H E_s E_s^H a, which is algebraically identical
-    and costs (dim-1) G multiply-adds whatever num_sources is.
+    and costs (dim-1) G multiply-adds whatever num_sources is. The spectrum
+    carries the diagonal sums of E_s E_s^H: the values rise with its
+    quadratic form, so its peaks are the MUSIC peaks.
     """
     if num_sources >= cov.dim:
         raise ValueError("num_sources must be smaller than the covariance dimension")
@@ -265,9 +280,9 @@ def music_spectrum(cov: SampleCovariance, num_sources: int,
     _, eigvecs = hermitian_eigendecomposition(cov)
     signal_basis = eigvecs[:, cov.dim - num_sources:]
     projector = signal_basis @ signal_basis.conj().T
-    denom = cov.dim - _quadratic_form(projector, grid)
-    values = 1.0 / np.maximum(denom, _MUSIC_FLOOR)
-    return Pseudospectrum(grid=grid, values=values)
+    sums, signal_power = _quadratic_form(projector, grid)
+    values = 1.0 / np.maximum(cov.dim - signal_power, _MUSIC_FLOOR)
+    return Pseudospectrum(grid=grid, values=values, sums=sums)
 
 
 @dataclass(frozen=True)
@@ -294,25 +309,49 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return (starts[peaks] + ends[peaks]) // 2
 
 
-def _refine_peaks(grid: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Quadratic vertex through each peak sample and its two neighbors.
+@functools.lru_cache(maxsize=64)
+def _newton_tables(dim: int):
+    """j pi k and the factors 2, 2 j pi k, 2 (j pi k)^2 as (dim-1) x 3 columns,
+    k = 1 .. dim - 1: with the sums c_k folded into the columns, the real
+    part of exp(j pi k u) @ them is f(u) - c_0, f'(u) and f''(u)."""
+    phase = 1j * np.pi * np.arange(1, dim)
+    weights = 2.0 * np.stack((np.ones_like(phase), phase, phase * phase), axis=1)
+    phase.setflags(write=False)
+    weights.setflags(write=False)
+    return phase, weights
 
-    A peak whose three samples do not bend downward keeps its grid angle.
+
+def _newton_peaks(sums: np.ndarray, grid: np.ndarray, idx: np.ndarray):
+    """Safeguarded Newton steps in u = sin(theta) toward the maxima of
+    f(u) = c_0 + 2 Re sum_k c_k exp(j pi k u), one per peak sample.
+
+    A step is taken only where f'' < 0 and is clipped to the bracket
+    [u[idx - 1], u[idx + 1]]. Returns the refined u and f there, as
+    evaluated before the last step, which moves a converged peak by
+    rounding only.
     """
-    left, mid, right = values[idx - 1], values[idx], values[idx + 1]
-    denom = left - 2.0 * mid + right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.clip(0.5 * (left - right) / denom, -0.5, 0.5)
-    half_span = 0.5 * (grid[idx + 1] - grid[idx - 1])
-    return np.where(denom >= 0, grid[idx], grid[idx] + shift * half_span)
+    phase, weights = _newton_tables(sums.size)
+    weights = sums[1:, None] * weights
+    low, u, high = np.sin(grid[idx + np.array([[-1], [0], [1]])])
+    for _ in range(_NEWTON_STEPS):
+        derivatives = (np.exp(u[:, None] * phase) @ weights).real
+        curvature = derivatives[:, 2]
+        # An infinite divisor leaves a peak where f'' >= 0 in place.
+        u = np.minimum(np.maximum(
+            u - derivatives[:, 1] / np.where(curvature < 0, curvature, np.inf), low), high)
+    return u, sums[0].real + derivatives[:, 0]
 
 
 def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
-    """The ``num_peaks`` highest local maxima of a pseudospectrum.
+    """The ``num_peaks`` highest maxima of a pseudospectrum.
 
-    Ties between equal peaks break toward the smaller angle. A quadratic
-    fit through each peak and its neighbors replaces the grid angle. Raises
-    EstimationError when the spectrum has fewer local maxima than requested.
+    The 2 * num_peaks highest local maxima of the samples are candidates;
+    ties between equal samples break toward the smaller angle. With the
+    spectrum's diagonal sums, ``_NEWTON_STEPS`` safeguarded Newton steps on
+    the polynomial f move each candidate off the grid, and the num_peaks
+    candidates with the highest refined f are kept; without sums the
+    highest samples are kept at their grid angles. Raises EstimationError
+    when the spectrum has fewer local maxima than requested.
     """
     grid, values = spectrum.grid, spectrum.values
     if num_peaks < 1:
@@ -325,9 +364,13 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
             f"found {maxima.size} spectral peaks, need {num_peaks}")
     # maxima ascend, so a stable sort on descending value keeps the smaller
     # index first among equal peaks.
-    chosen = maxima[np.argsort(-values[maxima], kind="stable")[:num_peaks]]
-    angles = np.sort(_refine_peaks(grid, values, chosen))
-    return AngleEstimates(angles=angles, spectrum=spectrum)
+    candidates = maxima[np.argsort(-values[maxima], kind="stable")[:2 * num_peaks]]
+    if spectrum.sums is None:
+        angles = grid[candidates[:num_peaks]]
+    else:
+        u, height = _newton_peaks(spectrum.sums, grid, candidates)
+        angles = np.arcsin(u[np.argsort(-height, kind="stable")[:num_peaks]])
+    return AngleEstimates(angles=np.sort(angles), spectrum=spectrum)
 
 
 def scan_angles(block: ReceivedBlock, num_sources: int, grid: np.ndarray,

@@ -39,6 +39,7 @@ kappa = 97
 pt = -10 dB
 pd = -10 dB
 sigma2 = 1
+grid_step_deg = 0.02
 seed = 7
 """
 
@@ -63,9 +64,9 @@ CASES = {
     "sweep_oracle_pt": ("sweep", "nrmse_vs_pt.cfg", ["--trials", "20"],
                         "e1284d4084c24be9391f98a1e6ba7a77983c105c842e68d98292ef61bd24bb9c"),
     "cdf_estimated_multipath": ("cdf", "snr_cdf.cfg", ["--trials", "20"],
-                                "557a124f53b542a395fe6dd7a78da8af2bfcc95af6b9a8a14cb1cf100f23410e"),
+                                "fcb8b5006170efa5e5e7d84984248181845f4522b4445cc5124e02b77e580661"),
     "cdf_estimated_los": ("cdf", LOS_CDF_CFG, ["--trials", "20"],
-                          "53fe6149f475f599be22cbef8962100e03ef6b405682af8dbc167db796f79dca"),
+                          "ebb94a4db1d94b89982f320b3b24e7045d8664b59e4dbac39b8693536caa7bfd"),
     "spectrum_multipath": ("spectrum", "spectrum_demo.cfg", [],
                            "a14bf514d7c5734986ba7549df242c0e26b8d35af4d611f9e8a79bb98137552d"),
     "spectrum_los": ("spectrum", LOS_SPECTRUM_CFG, [],
@@ -73,7 +74,7 @@ CASES = {
     "sweep_oracle_m": ("sweep", "nrmse_vs_m.cfg", ["--trials", "20"],
                        "4cb350c812f99c7ad412404159d7ddf31723ed1cffcebe16da1fea9827b34b43"),
     "sweep_estimated_pd_tracking": ("sweep", "snr_vs_pd.cfg", ["--trials", "3"],
-                                    "06537ff46cb87d9787196796f41fc809ca3abf22a99628fab7882f3076d4010b"),
+                                    "cf672ce5e896005443ab1b843cad9b33df7a2ce841b463a41d3225adc2ec7428"),
     "sweep_oracle_rho": ("sweep", RHO_SWEEP_CFG, ["--trials", "20"],
                          "b1f760e19d38d738f61e0fa555ff7ab7cea463c360283eb4b6256f39f76ca421"),
 }
