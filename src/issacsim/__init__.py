@@ -23,7 +23,6 @@ from .estimators import (
     ClosedFormPredictions,
     closed_form_predictions,
     empirical_snr,
-    estimate_gain_los,
     estimate_gains_multipath,
     ls_conventional,
     mrc_beamformer,

@@ -3,9 +3,10 @@
 Two estimation routes are implemented on the same received block:
 
 * conventional: least-squares on the pilot observations alone;
-* angle-then-gain ("issac"): beamform toward previously estimated path
-  angles, project the beamformed pilots onto the pilot sequence, and solve
-  the small gain system.
+* angle-then-gain ("issac"): project that LS estimate onto the steering
+  vectors of previously estimated path angles, which is the same as
+  beamforming the pilots toward those angles and solving the small gain
+  system. One function serves a single path (LoS) and several.
 
 Closed forms cover the expected estimation error of both routes and the
 post-combining receive SNR of the conventional route.
@@ -18,7 +19,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .array_channel import ReceivedBlock, UlaGeometry, steering_matrix, steering_vector
+from .array_channel import ReceivedBlock, UlaGeometry, steering_matrix
 from .errors import EstimationError
 
 __all__ = [
@@ -27,13 +28,12 @@ __all__ = [
     "mrc_beamformer",
     "empirical_snr",
     "snr_cp_approx",
-    "estimate_gain_los",
     "estimate_gains_multipath",
     "closed_form_predictions",
 ]
 
-# Relative condition limit on the gain Gram system before two estimated
-# angles are declared collided.
+# Largest ratio of the gain Gram's extreme eigenvalues (its condition
+# number) before two estimated angles are declared collided.
 GRAM_COND_LIMIT = 1e8
 
 
@@ -97,59 +97,27 @@ def snr_cp_approx(num_antennas: int, pilot_len: int, snr_t: float,
     return upper * (1.0 - xi), xi
 
 
-def _beamformed_pilot_projection(block: ReceivedBlock, weights: np.ndarray,
-                                 pilot_power: float) -> np.ndarray:
-    """Project beamformed pilot outputs onto the conjugate pilot sequence.
+def estimate_gains_multipath(h_ls: np.ndarray, thetas_hat: Sequence[float]
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Path gains from the LS estimate ``h_ls`` and the estimated angles.
 
-    ``weights`` has one row per beam; returns one complex value per beam,
-    normalized by sqrt(pilot_power * pilot_len^2).
+    With A = A(thetas_hat), gains = (A^H A)^-1 A^H h_ls: ``h_ls`` projected
+    onto the estimated steering vectors, for one path (LoS) or several.
+    Beamforming the pilots with A^H and solving against A^H A gives the same
+    gains, since beamforming and pilot correlation are both linear in the
+    pilot block. A Gram whose largest eigenvalue exceeds ``GRAM_COND_LIMIT``
+    times its smallest (a non-positive smallest one included) means two
+    estimated angles collided and raises EstimationError. Returns the gains
+    and the channel estimate A @ gains.
     """
-    rho = block.pilot_len
-    if rho < 1:
-        raise ValueError("gain estimation needs at least one pilot symbol")
-    beamformed = weights @ block.pilot_obs
-    return beamformed @ block.pilot_seq.conj() / np.sqrt(pilot_power * rho**2)
-
-
-def estimate_gain_los(block: ReceivedBlock, theta_hat: float,
-                      pilot_power: float) -> Tuple[complex, np.ndarray]:
-    """Single-path gain from pilots beamformed toward ``theta_hat``.
-
-    The beamformed, pilot-projected output is divided by sqrt(M), which is
-    exact when the beam matches the true angle. Returns alpha_hat and the
-    channel estimate alpha_hat * a(theta_hat).
-    """
-    geom = UlaGeometry(block.num_antennas)
-    steer = steering_vector(geom, theta_hat)
-    m = geom.num_antennas
-    projected = _beamformed_pilot_projection(
-        block, steer.conj()[None, :] / np.sqrt(m), pilot_power)
-    alpha_hat = complex(projected[0] / np.sqrt(m))
-    return alpha_hat, alpha_hat * steer
-
-
-def estimate_gains_multipath(block: ReceivedBlock, thetas_hat: Sequence[float],
-                             pilot_power: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-path gains from pilots beamformed toward ``thetas_hat``.
-
-    Beams are the matched steering vectors scaled by 1/sqrt(M); the
-    projected outputs feed an L x L solve against the steering Gram matrix
-    (angles assumed accurate, so the Gram of the estimated angles stands in
-    for the true one). A Gram condition number above ``GRAM_COND_LIMIT``
-    means two estimated angles collided and raises EstimationError. Returns
-    the gains and the channel estimate A(thetas_hat) @ gains.
-    """
-    geom = UlaGeometry(block.num_antennas)
-    steer = steering_matrix(geom, thetas_hat)
-    m = geom.num_antennas
-    if steer.shape[1] > m:
+    steer = steering_matrix(UlaGeometry(h_ls.shape[0]), thetas_hat)
+    if steer.shape[1] > steer.shape[0]:
         raise ValueError("more paths than antennas")
     gram = steer.conj().T @ steer
-    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
+    eigvals = np.linalg.eigvalsh(gram)
+    if eigvals[-1] > GRAM_COND_LIMIT * eigvals[0]:
         raise EstimationError("estimated angles collided; gain system is singular")
-    projected = _beamformed_pilot_projection(block, steer.conj().T / np.sqrt(m),
-                                             pilot_power)
-    gains = np.sqrt(m) * np.linalg.solve(gram, projected)
+    gains = np.linalg.solve(gram, steer.conj().T @ h_ls)
     return gains, steer @ gains
 
 
@@ -161,8 +129,10 @@ def closed_form_predictions(num_antennas: int, num_paths: int, pilot_power: floa
     Expected squared estimation errors, with base = noise_var /
     (pilot_power * pilot_len):
 
-    * conventional (e_cp):    M * base
-    * angle-then-gain (e_lp): L * base (LoS is the case L = 1)
+    * conventional (e_cp):    M * base, the energy of the white LS noise
+      of per-entry variance base;
+    * angle-then-gain (e_lp): L * base, that noise projected onto the L
+      dimensions spanned by the (exact) steering vectors (LoS is L = 1).
 
     The SNR forms use the mean channel energy num_paths * num_antennas of
     unit-variance path gains.

@@ -32,7 +32,6 @@ from .estimators import (
     ClosedFormPredictions,
     closed_form_predictions,
     empirical_snr,
-    estimate_gain_los,
     estimate_gains_multipath,
     ls_conventional,
     mrc_beamformer,
@@ -70,6 +69,11 @@ _AXES = {
     "rho": ("pilot_len", (1, 2, 3, 4, 6, 8)),
 }
 POWER_AXES = ("pt", "pd")
+
+# Finest accepted scan step, 178 001 grid points. A much finer step asks
+# numpy for more memory than a machine has (1.3 TiB at 1e-9 deg); the
+# finest shipped step is 0.02 deg.
+_MIN_GRID_STEP_DEG = 0.001
 
 
 # The one dB conversion pair of the package, shared with the CLI. Private so
@@ -133,8 +137,9 @@ class ExperimentSpec:
             raise ValueError("gain estimation needs pilot_len >= 1")
         if self.angle_hold_trials < 1:
             raise ValueError("angle_hold_trials must be >= 1")
-        if not 0 < self.grid_step_deg < np.inf:
-            raise ValueError(f"grid_step_deg must be finite and > 0, got {self.grid_step_deg}")
+        if not _MIN_GRID_STEP_DEG <= self.grid_step_deg < np.inf:
+            raise ValueError(f"grid_step_deg must be finite and >= {_MIN_GRID_STEP_DEG}, "
+                             f"got {self.grid_step_deg}")
         if self.sweep_axis is not None and self.sweep_axis not in _AXES:
             raise ValueError(
                 f"unknown sweep axis {self.sweep_axis!r}; valid axes: {', '.join(_AXES)}")
@@ -224,15 +229,6 @@ def draw_realization(spec: ExperimentSpec, trial_index: int
     return paths, h, block
 
 
-def _issac_estimate(spec: ExperimentSpec, block: ReceivedBlock,
-                    thetas_hat: np.ndarray) -> np.ndarray:
-    if spec.multipath:
-        _, h_hat = estimate_gains_multipath(block, thetas_hat, spec.pilot_pow)
-    else:
-        _, h_hat = estimate_gain_los(block, float(thetas_hat[0]), spec.pilot_pow)
-    return h_hat
-
-
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """One paired trial: both estimators on the identical received block.
 
@@ -256,7 +252,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
             thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid,
                                      spec.multipath, spec.num_subarrays).angles
             angle_errors = match_angles(thetas_hat, paths.angles)
-        h_lp = _issac_estimate(spec, block, thetas_hat)
+        _, h_lp = estimate_gains_multipath(h_cp, thetas_hat)
         sq_error_lp = float(np.linalg.norm(h_lp - h) ** 2)
         snr_lp = empirical_snr(mrc_beamformer(h_lp), h, spec.data_pow, spec.noise_var)
     except EstimationError as exc:

@@ -155,11 +155,13 @@ class TestConfigParsing:
         ("sigma2 = 10000 dB\n", "error: sigma2 = '10000 dB': power must be finite"),
         ("axis = pd\nsweep_values = 0 dB, inf dB\n",
          "error: sweep_values = '0 dB, inf dB': power must be finite"),
-        ("grid_step_deg = -1\n", "error: grid_step_deg must be finite and > 0, got -1.0"),
-        ("grid_step_deg = nan\n", "error: grid_step_deg must be finite and > 0, got nan"),
+        ("grid_step_deg = -1\n", "error: grid_step_deg must be finite and >= 0.001, got -1.0"),
+        ("grid_step_deg = nan\n", "error: grid_step_deg must be finite and >= 0.001, got nan"),
+        ("grid_step_deg = 1e-9\n",
+         "error: grid_step_deg must be finite and >= 0.001, got 1e-09"),
     ], ids=["spec_key", "composite_key", "sweep_values_without_axis", "nan_power",
             "infinite_power", "overflowing_db_power", "infinite_power_axis_value",
-            "negative_grid_step", "nan_grid_step"])
+            "negative_grid_step", "nan_grid_step", "tiny_grid_step"])
     def test_bad_value_error_names_its_key(self, tmp_path, capsys, text, message):
         cfg_path = _write(tmp_path, "run.cfg", text)
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),

@@ -21,7 +21,6 @@ from issacsim.errors import EstimationError
 from issacsim.estimators import (
     closed_form_predictions,
     empirical_snr,
-    estimate_gain_los,
     estimate_gains_multipath,
     ls_conventional,
     mrc_beamformer,
@@ -202,15 +201,35 @@ class TestClosedForms:
         assert theory.gamma_cp_approx < theory.gamma_upper
 
 
+def _beamformed_pilot_gains(block, thetas_hat, pilot_power):
+    """Test-only copy of the beamformed-pilot gain solve: beams A^H / sqrt(M)
+    on the pilot block, correlation with the pilot sequence, and sqrt(M)
+    times the solve against the steering Gram."""
+    geom = UlaGeometry(block.num_antennas)
+    steer = steering_matrix(geom, thetas_hat)
+    m = block.num_antennas
+    beamformed = (steer.conj().T / np.sqrt(m)) @ block.pilot_obs
+    projected = beamformed @ block.pilot_seq.conj() / np.sqrt(
+        pilot_power * block.pilot_len**2)
+    return np.sqrt(m) * np.linalg.solve(steer.conj().T @ steer, projected)
+
+
+def _gains(block, thetas_hat, pilot_power):
+    return estimate_gains_multipath(ls_conventional(block, pilot_power), thetas_hat)
+
+
 class TestGainLos:
+    """The single-path case of the gain stage."""
+
     def test_noiseless_exact_with_true_angle(self):
         geom = UlaGeometry(8)
         theta = 0.4
         alpha = 1.3 - 0.8j
         h = alpha * steering_vector(geom, theta)
         block = _make_block(h, noise_var=0.0, pilot_power=0.5)
-        alpha_hat, h_hat = estimate_gain_los(block, theta, 0.5)
-        assert alpha_hat == pytest.approx(alpha, rel=1e-12)
+        gains, h_hat = _gains(block, [theta], 0.5)
+        assert gains.shape == (1,)
+        assert gains[0] == pytest.approx(alpha, rel=1e-12)
         np.testing.assert_allclose(h_hat, h, atol=1e-12)
 
     def test_mismatch_bias_closed_form(self):
@@ -219,10 +238,10 @@ class TestGainLos:
         alpha = 0.9 + 0.4j
         h = alpha * steering_vector(geom, theta)
         block = _make_block(h, noise_var=0.0, pilot_power=1.0)
-        alpha_hat, _ = estimate_gain_los(block, theta_hat, 1.0)
+        gains, _ = _gains(block, [theta_hat], 1.0)
         overlap = np.vdot(steering_vector(geom, theta_hat),
                           steering_vector(geom, theta))
-        assert alpha_hat == pytest.approx(alpha * overlap / 8.0, rel=1e-12)
+        assert gains[0] == pytest.approx(alpha * overlap / 8.0, rel=1e-12)
 
     def test_exact_ls_oracle_removes_mismatch_bias(self):
         # dual route: the exact form recovers alpha under beam mismatch
@@ -245,7 +264,7 @@ class TestGainLos:
             config = TransmissionConfig(pilot_len=3, data_len=1,
                                         pilot_power=0.1, data_power=0.1)
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
-            _, h_hat = estimate_gain_los(block, theta, 0.1)
+            _, h_hat = _gains(block, [theta], 0.1)
             errors.append(np.linalg.norm(h_hat - h) ** 2)
         expected = closed_form_predictions(32, 1, 0.1, 3, 1.0, 0.1).e_lp
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
@@ -254,8 +273,8 @@ class TestGainLos:
         geom = UlaGeometry(8)
         h = 1.1j * steering_vector(geom, -0.3)
         block = _make_block(h, noise_var=1.0, seed=5)
-        alpha_hat, h_hat = estimate_gain_los(block, -0.29, 0.1)
-        rebuilt = alpha_hat * steering_vector(geom, -0.29)
+        gains, h_hat = _gains(block, [-0.29], 0.1)
+        rebuilt = gains[0] * steering_vector(geom, -0.29)
         np.testing.assert_allclose(h_hat, rebuilt, atol=1e-14)
 
 
@@ -266,18 +285,30 @@ class TestGainsMultipath:
                         gains=[1.0, 0.5j, -0.7 + 0.2j])
         h = synthesize_channel(geom, paths)
         block = _make_block(h, noise_var=0.0, pilot_power=0.4)
-        gains, h_hat = estimate_gains_multipath(block, paths.angles, 0.4)
+        gains, h_hat = _gains(block, paths.angles, 0.4)
         np.testing.assert_allclose(gains, paths.gains, atol=1e-10)
         np.testing.assert_allclose(h_hat, h, atol=1e-9)
 
-    def test_single_path_reduces_to_los_route(self):
-        geom = UlaGeometry(8)
-        h = (0.4 - 1.2j) * steering_vector(geom, 0.15)
-        block = _make_block(h, noise_var=1.0, seed=9)
-        alpha_los, h_los = estimate_gain_los(block, 0.15, 0.1)
-        gains_mp, h_mp = estimate_gains_multipath(block, [0.15], 0.1)
-        assert gains_mp[0] == pytest.approx(alpha_los, rel=1e-12)
-        np.testing.assert_allclose(h_mp, h_los, rtol=1e-12)
+    @given(seed=st.integers(0, 10**6), num_paths=st.integers(1, 4),
+           num_antennas=st.integers(4, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_beamformed_pilot_solve(self, seed, num_paths, num_antennas):
+        rng = np.random.default_rng(seed)
+        geom = UlaGeometry(num_antennas)
+        paths = PathSet(angles=sample_angles(num_paths, rng), gains=sample_gains(num_paths, rng))
+        h = synthesize_channel(geom, paths)
+        block = _make_block(h, noise_var=1.0, seed=seed)
+        # estimated angles off the true ones, as after a scan
+        thetas_hat = paths.angles + rng.uniform(-0.01, 0.01, num_paths)
+        h_ls = ls_conventional(block, 0.1)
+        gains, h_hat = estimate_gains_multipath(h_ls, thetas_hat)
+        reference = _beamformed_pilot_gains(block, thetas_hat, 0.1)
+        scale = np.linalg.norm(reference)
+        assert np.max(np.abs(gains - reference)) <= 1e-12 * scale
+        # the residual of a projection is orthogonal to the steering vectors
+        steer = steering_matrix(geom, thetas_hat)
+        residual = steer.conj().T @ (h_ls - h_hat)
+        assert np.max(np.abs(residual)) <= 1e-12 * num_antennas * np.linalg.norm(h_ls)
 
     def test_monte_carlo_matches_closed_form(self):
         geom = UlaGeometry(32)
@@ -290,7 +321,7 @@ class TestGainsMultipath:
             config = TransmissionConfig(pilot_len=3, data_len=1,
                                         pilot_power=0.1, data_power=0.1)
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
-            _, h_hat = estimate_gains_multipath(block, angles, 0.1)
+            _, h_hat = _gains(block, angles, 0.1)
             errors.append(np.linalg.norm(h_hat - h) ** 2)
         expected = closed_form_predictions(32, 3, 0.1, 3, 1.0, 0.1).e_lp
         assert np.mean(errors) == pytest.approx(expected, rel=0.05)
@@ -299,15 +330,16 @@ class TestGainsMultipath:
         geom = UlaGeometry(32)
         h = steering_vector(geom, 0.0) + steering_vector(geom, 0.5)
         block = _make_block(h, noise_var=1.0)
-        with pytest.raises(EstimationError):
-            estimate_gains_multipath(block, [0.1, 0.1 + 2e-7], 0.1)
+        for thetas_hat in ([0.1, 0.1 + 2e-7], [0.1, 0.1]):
+            with pytest.raises(EstimationError):
+                _gains(block, thetas_hat, 0.1)
 
     def test_reconstruction_identity(self):
         geom = UlaGeometry(16)
         paths = PathSet(angles=np.deg2rad([-10.0, 20.0]), gains=[1.0, 0.3j])
         h = synthesize_channel(geom, paths)
         block = _make_block(h, noise_var=1.0, seed=2)
-        gains, h_hat = estimate_gains_multipath(block, paths.angles, 0.1)
+        gains, h_hat = _gains(block, paths.angles, 0.1)
         rebuilt = steering_matrix(geom, paths.angles) @ gains
         np.testing.assert_allclose(h_hat, rebuilt, atol=1e-14)
 
@@ -316,4 +348,4 @@ class TestGainsMultipath:
         h = steering_vector(geom, 0.0)
         block = _make_block(h, noise_var=0.0)
         with pytest.raises(ValueError):
-            estimate_gains_multipath(block, [-0.4, 0.0, 0.4], 0.1)
+            _gains(block, [-0.4, 0.0, 0.4], 0.1)
