@@ -21,7 +21,6 @@ __all__ = [
     "TransmissionConfig",
     "ReceivedBlock",
     "complex_normal",
-    "steering_vector",
     "steering_matrix",
     "synthesize_channel",
     "sample_angles",
@@ -62,19 +61,12 @@ class UlaGeometry:
         object.__setattr__(self, "num_antennas", int(m))
 
 
-def steering_vector(geom: UlaGeometry, theta: float) -> np.ndarray:
-    """Array response to a far-field plane wave arriving from ``theta``.
-
-    Entry m (0-based) is exp(j*pi*m*sin(theta)), so the squared norm is
-    always equal to the number of antennas.
-    """
-    theta = _check_angle(theta)
-    m = np.arange(geom.num_antennas)
-    return np.exp(1j * np.pi * m * np.sin(theta))
-
-
 def steering_matrix(geom: UlaGeometry, angles: Sequence[float]) -> np.ndarray:
-    """Stack steering vectors for ``angles`` into an M x L matrix."""
+    """M x L array responses to far-field plane waves from ``angles``.
+
+    Entry (m, l) (0-based) is exp(j*pi*m*sin(angles[l])), so every column's
+    squared norm equals the number of antennas.
+    """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.ndim != 1:
         raise ValueError("angles must be one-dimensional")
@@ -104,10 +96,6 @@ class PathSet:
             raise ValueError("path angles must be pairwise distinct")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "gains", gains)
-
-    @property
-    def num_paths(self) -> int:
-        return self.angles.size
 
 
 def synthesize_channel(geom: UlaGeometry, paths: PathSet) -> np.ndarray:

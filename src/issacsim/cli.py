@@ -15,6 +15,7 @@ Angles are degrees in config files and CSV output, radians internally.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -138,20 +139,25 @@ def load_run_config(path: Optional[str]) -> Dict[str, str]:
     return raw
 
 
+def _radians(text: str) -> float:
+    return float(np.deg2rad(float(text)))
+
+
 def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
+    """The angle prior of the config; a rejected value is named with its key."""
     if "angles_deg" in cfg:
-        fixed = _parse_key(cfg, "angles_deg",
-                           lambda text: tuple(np.deg2rad(float(v)) for v in _parse_list(text)))
-        return AnglePolicy(fixed=fixed)
-    kwargs = {}
-    if "angle_low_deg" in cfg:
-        kwargs["low"] = float(np.deg2rad(_parse_key(cfg, "angle_low_deg", float)))
-    if "angle_high_deg" in cfg:
-        kwargs["high"] = float(np.deg2rad(_parse_key(cfg, "angle_high_deg", float)))
-    if "min_sep_deg" in cfg:
-        min_sep = _parse_key(cfg, "min_sep_deg", float)
-        kwargs["min_sin_sep"] = float(np.sin(np.deg2rad(min_sep)))
-    return AnglePolicy(**kwargs)
+        return _parse_key(cfg, "angles_deg", lambda text: AnglePolicy(
+            fixed=tuple(_radians(v) for v in _parse_list(text))))
+    low = _parse_key(cfg, "angle_low_deg", _radians, AnglePolicy.low)
+    high = _parse_key(cfg, "angle_high_deg", _radians, AnglePolicy.high)
+    try:
+        policy = AnglePolicy(low=low, high=high)
+    except ValueError as exc:
+        named = ", ".join(f"{key} = {cfg[key]!r}"
+                          for key in ("angle_low_deg", "angle_high_deg") if key in cfg)
+        raise ValueError(f"{named}: {exc}") from None
+    return _parse_key(cfg, "min_sep_deg", lambda text: dataclasses.replace(
+        policy, min_sin_sep=float(np.sin(_radians(text)))), policy)
 
 
 def build_spec(cfg: Dict[str, str],

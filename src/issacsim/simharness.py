@@ -36,7 +36,7 @@ from .estimators import (
     ls_conventional,
     mrc_beamformer,
 )
-from .subspace import make_angle_grid, scan_angles
+from .subspace import SubarrayPlan, make_angle_grid, scan_angles
 
 __all__ = [
     "ExperimentSpec",
@@ -101,7 +101,8 @@ class ExperimentSpec:
     M = 32 antennas, L = 3 paths, pilot_len 3, transmit SNRs of -10 dB in
     both phases, unit noise variance, and 100 snapshots per block.
     ``pilot_pow``/``data_pow`` are absolute linear powers; with the default
-    ``noise_var`` = 1 they equal the transmit SNRs.
+    ``noise_var`` = 1 they equal the transmit SNRs. Construction runs the
+    array, frame and subarray-plan checks, so bad values fail before a trial.
     """
 
     num_antennas: int = 32
@@ -154,6 +155,10 @@ class ExperimentSpec:
             object.__setattr__(self, "sweep_values", values)
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
+        self.geometry()
+        self.transmission()
+        if self.multipath and self.angle_stage == "estimated":
+            SubarrayPlan.for_sources(self.num_antennas, self.num_paths, self.num_subarrays)
 
     @property
     def multipath(self) -> bool:
@@ -414,8 +419,7 @@ def run_sweep(spec: ExperimentSpec) -> Tuple[SweepPoint, ...]:
     axis = spec.sweep_axis
     if axis is None:
         raise ValueError(f"spec has no sweep axis; valid axes: {', '.join(_AXES)}")
-    points = []
-    for value in spec.sweep_values or default_sweep_values(axis):
-        sub, display = _apply_axis(spec, axis, value)
-        points.append(_summarize(sub, collect_trials(sub), display))
-    return tuple(points)
+    # Every point's spec first: a bad point fails before any trial runs.
+    subs = [_apply_axis(spec, axis, value)
+            for value in spec.sweep_values or default_sweep_values(axis)]
+    return tuple(_summarize(sub, collect_trials(sub), display) for sub, display in subs)

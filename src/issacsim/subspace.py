@@ -158,18 +158,15 @@ def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovarianc
                             num_snapshots=covs[0].num_snapshots)
 
 
-def make_angle_grid(step_deg: float = 0.5, low_deg: float = -89.0,
-                    high_deg: float = 89.0) -> np.ndarray:
-    """Uniform scan grid in radians over (low_deg, high_deg) inclusive.
+def make_angle_grid(step_deg: float) -> np.ndarray:
+    """Uniform scan grid in radians from -89 to 89 degrees inclusive.
 
     The grid is read-only, so that it can be shared by every trial of a run.
     """
-    if not -90.0 < low_deg < high_deg < 90.0:
-        raise ValueError("grid must satisfy -90 < low < high < 90 degrees")
     if not 0 < step_deg < np.inf:
         raise ValueError(f"step_deg must be finite and > 0, got {step_deg}")
-    n = int(round((high_deg - low_deg) / step_deg)) + 1
-    grid = np.deg2rad(np.linspace(low_deg, high_deg, n))
+    n = int(round(178.0 / step_deg)) + 1
+    grid = np.deg2rad(np.linspace(-89.0, 89.0, n))
     grid.setflags(write=False)
     return grid
 
@@ -181,12 +178,12 @@ class Pseudospectrum:
     ``sums`` are the superdiagonal sums c_k of a Hermitian Q whose quadratic
     form f(u) = a(u)^H Q a(u) = c_0 + 2 Re sum_k c_k exp(j pi k u), with
     u = sin(theta), the values increase with; ``find_peaks`` refines each
-    peak on f. A spectrum without sums has its peaks at grid angles.
+    peak on f.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    sums: Optional[np.ndarray] = None
+    sums: np.ndarray
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -201,8 +198,7 @@ class Pseudospectrum:
             raise ValueError("values must be finite and nonnegative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if self.sums is not None:
-            object.__setattr__(self, "sums", np.asarray(self.sums, dtype=np.complex128))
+        object.__setattr__(self, "sums", np.asarray(self.sums, dtype=np.complex128))
 
 
 @functools.lru_cache(maxsize=64)
@@ -346,12 +342,11 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
     """The ``num_peaks`` highest maxima of a pseudospectrum.
 
     The 2 * num_peaks highest local maxima of the samples are candidates;
-    ties between equal samples break toward the smaller angle. With the
-    spectrum's diagonal sums, ``_NEWTON_STEPS`` safeguarded Newton steps on
-    the polynomial f move each candidate off the grid, and the num_peaks
-    candidates with the highest refined f are kept; without sums the
-    highest samples are kept at their grid angles. Raises EstimationError
-    when the spectrum has fewer local maxima than requested.
+    ties between equal samples break toward the smaller angle.
+    ``_NEWTON_STEPS`` safeguarded Newton steps on the spectrum's polynomial
+    f move each candidate off the grid, and the num_peaks candidates with
+    the highest refined f are kept. Raises EstimationError when the
+    spectrum has fewer local maxima than requested.
     """
     grid, values = spectrum.grid, spectrum.values
     if num_peaks < 1:
@@ -365,11 +360,8 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
     # maxima ascend, so a stable sort on descending value keeps the smaller
     # index first among equal peaks.
     candidates = maxima[np.argsort(-values[maxima], kind="stable")[:2 * num_peaks]]
-    if spectrum.sums is None:
-        angles = grid[candidates[:num_peaks]]
-    else:
-        u, height = _newton_peaks(spectrum.sums, grid, candidates)
-        angles = np.arcsin(u[np.argsort(-height, kind="stable")[:num_peaks]])
+    u, height = _newton_peaks(spectrum.sums, grid, candidates)
+    angles = np.arcsin(u[np.argsort(-height, kind="stable")[:num_peaks]])
     return AngleEstimates(angles=np.sort(angles), spectrum=spectrum)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import issacsim.simharness as harness
 from issacsim.cli import (
     SWEEP_CSV_HEADER,
     _VALID_KEYS,
@@ -159,9 +160,15 @@ class TestConfigParsing:
         ("grid_step_deg = nan\n", "error: grid_step_deg must be finite and >= 0.001, got nan"),
         ("grid_step_deg = 1e-9\n",
          "error: grid_step_deg must be finite and >= 0.001, got 1e-09"),
+        ("l = 1\nangles_deg = 95\n", "error: angles_deg = '95': angle 1.658"),
+        ("min_sep_deg = -1\n",
+         "error: min_sep_deg = '-1': min_sin_sep must be nonnegative"),
+        ("angle_low_deg = 80\nangle_high_deg = 70\n",
+         "error: angle_low_deg = '80', angle_high_deg = '70': need low < high"),
     ], ids=["spec_key", "composite_key", "sweep_values_without_axis", "nan_power",
             "infinite_power", "overflowing_db_power", "infinite_power_axis_value",
-            "negative_grid_step", "nan_grid_step", "tiny_grid_step"])
+            "negative_grid_step", "nan_grid_step", "tiny_grid_step",
+            "angle_out_of_range", "negative_min_sep", "angle_range_reversed"])
     def test_bad_value_error_names_its_key(self, tmp_path, capsys, text, message):
         cfg_path = _write(tmp_path, "run.cfg", text)
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
@@ -173,6 +180,40 @@ class TestConfigParsing:
         assert len(err.splitlines()) == 1
         assert err.startswith(message)
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("mode = foo\n", "error: mode must be 'los' or 'multipath'"),
+        ("angle_stage = foo\n", "error: angle_stage must be 'estimated' or 'oracle'"),
+        ("angle_hold_trials = 0\n", "error: angle_hold_trials must be >= 1"),
+        ("seed = -1\n", "error: base_seed must be nonnegative"),
+        ("axis = pt\nsweep_values = ,\n", "error: sweep_values must be nonempty"),
+        # The bad point comes last: every point is checked before any trial.
+        ("axis = rho\nsweep_values = 3, 0\ntrials = 1000\n",
+         "error: gain estimation needs pilot_len >= 1"),
+        ("axis = m\nsweep_values = 32, 4\nl = 3\n",
+         "error: subarrays too small"),
+    ], ids=["mode", "angle_stage", "angle_hold_trials", "base_seed", "empty_sweep_values",
+            "zero_pilots_sweep_point", "small_array_sweep_point"])
+    def test_bad_spec_value_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                     text, message):
+        def no_trials(spec, trial_index):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        cfg_path = _write(tmp_path, "run.cfg", text)
+        # No --oracle-angles: it would override angle_stage.
+        code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(message)
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text", ["false", "no", "off", "0"])
+    def test_pt_tracks_pd_false_spellings(self, tmp_path, text):
+        cfg_path = _write(tmp_path, "run.cfg", f"pt_tracks_pd = {text}\n")
+        assert build_spec(load_run_config(cfg_path))[0].pt_tracks_pd is False
 
 
 class TestSweepCommand:

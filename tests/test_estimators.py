@@ -14,7 +14,6 @@ from issacsim.array_channel import (
     sample_gains,
     simulate_reception,
     steering_matrix,
-    steering_vector,
     synthesize_channel,
 )
 from issacsim.errors import EstimationError
@@ -37,12 +36,17 @@ def _make_block(h, pilot_len=3, pilot_power=0.1, data_power=0.1, noise_var=1.0,
                               np.random.default_rng(seed))
 
 
+def _steer(geom, theta):
+    """The steering vector of one angle: a one-column steering matrix."""
+    return steering_matrix(geom, [theta])[:, 0]
+
+
 def _exact_gain_ls(block, theta_hat, theta_true, pilot_power):
     """Test-only oracle: the exact single-path LS that divides by the true
     beam overlap instead of sqrt(M)."""
     geom = UlaGeometry(block.num_antennas)
-    a_hat = steering_vector(geom, theta_hat)
-    a_true = steering_vector(geom, theta_true)
+    a_hat = _steer(geom, theta_hat)
+    a_true = _steer(geom, theta_true)
     m = block.num_antennas
     beamformed = (a_hat.conj() / np.sqrt(m)) @ block.pilot_obs
     projected = beamformed @ block.pilot_seq.conj() / np.sqrt(
@@ -139,8 +143,8 @@ class TestEmpiricalSnr:
         geom = UlaGeometry(16)
         theta = 0.3
         alpha = 0.7 - 0.2j
-        h = alpha * steering_vector(geom, theta)
-        beam = steering_vector(geom, theta) / np.sqrt(16)
+        h = alpha * _steer(geom, theta)
+        beam = _steer(geom, theta) / np.sqrt(16)
         gamma = empirical_snr(beam, h, data_power=2.0, noise_var=1.0)
         assert gamma == pytest.approx(2.0 * abs(alpha) ** 2 * 16, rel=1e-12)
 
@@ -225,7 +229,7 @@ class TestGainLos:
         geom = UlaGeometry(8)
         theta = 0.4
         alpha = 1.3 - 0.8j
-        h = alpha * steering_vector(geom, theta)
+        h = alpha * _steer(geom, theta)
         block = _make_block(h, noise_var=0.0, pilot_power=0.5)
         gains, h_hat = _gains(block, [theta], 0.5)
         assert gains.shape == (1,)
@@ -236,11 +240,11 @@ class TestGainLos:
         geom = UlaGeometry(8)
         theta, theta_hat = 0.2, 0.26
         alpha = 0.9 + 0.4j
-        h = alpha * steering_vector(geom, theta)
+        h = alpha * _steer(geom, theta)
         block = _make_block(h, noise_var=0.0, pilot_power=1.0)
         gains, _ = _gains(block, [theta_hat], 1.0)
-        overlap = np.vdot(steering_vector(geom, theta_hat),
-                          steering_vector(geom, theta))
+        overlap = np.vdot(_steer(geom, theta_hat),
+                          _steer(geom, theta))
         assert gains[0] == pytest.approx(alpha * overlap / 8.0, rel=1e-12)
 
     def test_exact_ls_oracle_removes_mismatch_bias(self):
@@ -248,7 +252,7 @@ class TestGainLos:
         geom = UlaGeometry(8)
         theta, theta_hat = 0.2, 0.26
         alpha = 0.9 + 0.4j
-        h = alpha * steering_vector(geom, theta)
+        h = alpha * _steer(geom, theta)
         block = _make_block(h, noise_var=0.0, pilot_power=1.0)
         alpha_exact = _exact_gain_ls(block, theta_hat, theta, 1.0)
         assert alpha_exact == pytest.approx(alpha, rel=1e-12)
@@ -260,7 +264,7 @@ class TestGainLos:
         errors = []
         for _ in range(3000):
             alpha = np.exp(2j * np.pi * rng.uniform())
-            h = alpha * steering_vector(geom, theta)
+            h = alpha * _steer(geom, theta)
             config = TransmissionConfig(pilot_len=3, data_len=1,
                                         pilot_power=0.1, data_power=0.1)
             block = simulate_reception(h, config, generate_pilot_sequence(3), rng)
@@ -271,10 +275,10 @@ class TestGainLos:
 
     def test_reconstruction_identity(self):
         geom = UlaGeometry(8)
-        h = 1.1j * steering_vector(geom, -0.3)
+        h = 1.1j * _steer(geom, -0.3)
         block = _make_block(h, noise_var=1.0, seed=5)
         gains, h_hat = _gains(block, [-0.29], 0.1)
-        rebuilt = gains[0] * steering_vector(geom, -0.29)
+        rebuilt = gains[0] * _steer(geom, -0.29)
         np.testing.assert_allclose(h_hat, rebuilt, atol=1e-14)
 
 
@@ -328,7 +332,7 @@ class TestGainsMultipath:
 
     def test_angle_collision_raises(self):
         geom = UlaGeometry(32)
-        h = steering_vector(geom, 0.0) + steering_vector(geom, 0.5)
+        h = _steer(geom, 0.0) + _steer(geom, 0.5)
         block = _make_block(h, noise_var=1.0)
         for thetas_hat in ([0.1, 0.1 + 2e-7], [0.1, 0.1]):
             with pytest.raises(EstimationError):
@@ -345,7 +349,7 @@ class TestGainsMultipath:
 
     def test_more_paths_than_antennas_rejected(self):
         geom = UlaGeometry(2)
-        h = steering_vector(geom, 0.0)
+        h = _steer(geom, 0.0)
         block = _make_block(h, noise_var=0.0)
         with pytest.raises(ValueError):
             _gains(block, [-0.4, 0.0, 0.4], 0.1)
