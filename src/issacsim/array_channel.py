@@ -9,10 +9,13 @@ pure and its outputs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .errors import SpecError, blame
 
 __all__ = [
     "UlaGeometry",
@@ -33,6 +36,8 @@ _HALF_PI = np.pi / 2.0
 # Rejection-sampling attempts before a separation constraint counts as
 # infeasible.
 _MAX_ANGLE_DRAWS = 500
+# Path-gain distributions ``sample_gains`` draws from.
+GAIN_POLICIES = ("gaussian", "unit")
 
 
 def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0) -> np.ndarray:
@@ -118,15 +123,32 @@ class AnglePolicy:
     fixed: Optional[tuple] = None
 
     def __post_init__(self):
-        _check_angle(self.low)
-        _check_angle(self.high)
-        if self.low >= self.high:
-            raise ValueError("need low < high")
+        # A rejection is a SpecError naming the part of the prior at fault.
+        with blame("angle_range"):
+            if _check_angle(self.low) >= _check_angle(self.high):
+                raise ValueError("need low < high")
         if self.min_sin_sep < 0:
-            raise ValueError("min_sin_sep must be nonnegative")
+            raise SpecError("min_sep", "min_sin_sep must be nonnegative")
         if self.fixed is not None:
-            fixed = tuple(_check_angle(t) for t in self.fixed)
-            object.__setattr__(self, "fixed", fixed)
+            with blame("angle_list"):
+                object.__setattr__(self, "fixed", tuple(_check_angle(t) for t in self.fixed))
+
+    def check_paths(self, num_paths: int) -> None:
+        """Reject num_paths < 1, a fixed list of another length, or
+        num_paths - 1 sine gaps that cannot fit in the range (a SpecError);
+        the draws still find a fitting but tight separation."""
+        if num_paths < 1:
+            raise SpecError("num_paths", "num_paths must be >= 1")
+        if self.fixed is not None:
+            if len(self.fixed) != num_paths:
+                raise SpecError("num_paths angle_list", f"policy fixes {len(self.fixed)} "
+                                                        f"angles but {num_paths} paths requested")
+            return
+        span = math.sin(self.high) - math.sin(self.low)
+        if (num_paths - 1) * self.min_sin_sep >= span:
+            raise SpecError("num_paths angle_range min_sep",
+                            f"{num_paths} angles with sine separation >= {self.min_sin_sep:.4f} "
+                            f"do not fit in the sine range {span:.4f}; it is infeasible")
 
 
 def sample_angles(num_paths: int, rng: np.random.Generator,
@@ -136,12 +158,8 @@ def sample_angles(num_paths: int, rng: np.random.Generator,
     Raises ValueError if the separation constraint cannot be met within
     ``_MAX_ANGLE_DRAWS`` attempts, taking the policy to be infeasible.
     """
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
+    policy.check_paths(num_paths)
     if policy.fixed is not None:
-        if len(policy.fixed) != num_paths:
-            raise ValueError(
-                f"policy fixes {len(policy.fixed)} angles but {num_paths} paths requested")
         return np.asarray(policy.fixed, dtype=float)
     for _ in range(_MAX_ANGLE_DRAWS):
         draws = np.sort(rng.uniform(policy.low, policy.high, size=num_paths))
@@ -162,7 +180,7 @@ def sample_gains(num_paths: int, rng: np.random.Generator,
         return complex_normal(rng, num_paths)
     if policy == "unit":
         return np.exp(2j * np.pi * rng.uniform(size=num_paths))
-    raise ValueError(f"unknown gain policy {policy!r}; use 'gaussian' or 'unit'")
+    raise ValueError(f"unknown gain policy {policy!r}; use one of {', '.join(GAIN_POLICIES)}")
 
 
 @dataclass(frozen=True)

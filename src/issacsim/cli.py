@@ -15,7 +15,6 @@ Angles are degrees in config files and CSV output, radians internally.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -23,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .array_channel import AnglePolicy
-from .errors import EstimationError
+from .errors import EstimationError, SpecError
 from .simharness import (
     POWER_AXES,
     _AXES,
@@ -96,11 +95,14 @@ _SPEC_KEYS = {
     "pt_tracks_pd": ("pt_tracks_pd", _parse_bool),
     "axis": ("sweep_axis", str.lower),
 }
-# ... plus the keys build_spec combines or checks itself.
-_VALID_KEYS = tuple(_SPEC_KEYS) + (
-    "angles_deg", "angle_low_deg", "angle_high_deg", "min_sep_deg",
-    "pt", "pd", "sigma2", "subarrays", "sweep_values", "max_failure_rate",
-)
+# Every key but max_failure_rate with the ExperimentSpec field (or part of
+# the angle prior) it sets, to name the keys of a SpecError's fields.
+_KEY_FIELDS = {key: field for key, (field, _) in _SPEC_KEYS.items()} | {
+    "angles_deg": "angle_list", "angle_low_deg": "angle_range",
+    "angle_high_deg": "angle_range", "min_sep_deg": "min_sep",
+    "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var",
+    "subarrays": "num_subarrays", "sweep_values": "sweep_values"}
+_VALID_KEYS = (*_KEY_FIELDS, "max_failure_rate")
 
 
 def _parse_key(cfg: Dict[str, str], key: str, parse: Callable[[str], Any],
@@ -144,20 +146,15 @@ def _radians(text: str) -> float:
 
 
 def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
-    """The angle prior of the config; a rejected value is named with its key."""
+    """The angle prior of the config; a SpecError names the part at fault."""
     if "angles_deg" in cfg:
         return _parse_key(cfg, "angles_deg", lambda text: AnglePolicy(
             fixed=tuple(_radians(v) for v in _parse_list(text))))
     low = _parse_key(cfg, "angle_low_deg", _radians, AnglePolicy.low)
     high = _parse_key(cfg, "angle_high_deg", _radians, AnglePolicy.high)
-    try:
-        policy = AnglePolicy(low=low, high=high)
-    except ValueError as exc:
-        named = ", ".join(f"{key} = {cfg[key]!r}"
-                          for key in ("angle_low_deg", "angle_high_deg") if key in cfg)
-        raise ValueError(f"{named}: {exc}") from None
-    return _parse_key(cfg, "min_sep_deg", lambda text: dataclasses.replace(
-        policy, min_sin_sep=float(np.sin(_radians(text)))), policy)
+    sep = _parse_key(cfg, "min_sep_deg", lambda text: float(np.sin(_radians(text))),
+                     AnglePolicy.min_sin_sep)
+    return AnglePolicy(low=low, high=high, min_sin_sep=sep)
 
 
 def build_spec(cfg: Dict[str, str],
@@ -170,12 +167,14 @@ def build_spec(cfg: Dict[str, str],
     kwargs: Dict[str, object] = {
         field: _parse_key(cfg, key, parse)
         for key, (field, parse) in _SPEC_KEYS.items() if key in cfg}
+    # Where each key's value came from: the config, or a flag overriding it.
+    sources = {key: f"{key} = {cfg[key]!r}" for key in _KEY_FIELDS if key in cfg}
     flags = vars(args) if args is not None else {}
     for key, (field, _) in _SPEC_KEYS.items():
         if flags.get(key) is not None:
-            kwargs[field] = flags[key]
+            kwargs[field], sources[key] = flags[key], f"--{key} {flags[key]}"
     if flags.get("oracle_angles"):
-        kwargs["angle_stage"] = "oracle"
+        kwargs["angle_stage"], sources["angle_stage"] = "oracle", "--oracle-angles"
 
     if "subarrays" in cfg:
         count = _parse_key(cfg, "subarrays", int)
@@ -188,7 +187,6 @@ def build_spec(cfg: Dict[str, str],
         kwargs["pilot_pow"] = _power_from_snr(_parse_key(cfg, "pt", _parse_power), noise_var)
     if "pd" in cfg:
         kwargs["data_pow"] = _power_from_snr(_parse_key(cfg, "pd", _parse_power), noise_var)
-    kwargs["angle_policy"] = _angle_policy_from(cfg)
     if "sweep_values" in cfg:
         axis = kwargs.get("sweep_axis")
         if axis is None:
@@ -201,7 +199,12 @@ def build_spec(cfg: Dict[str, str],
     ceiling = _parse_key(cfg, "max_failure_rate", float, DEFAULT_MAX_FAILURE_RATE)
     if not 0.0 <= ceiling <= 1.0:
         raise ValueError(f"max_failure_rate must lie in [0, 1], got {ceiling}")
-    return ExperimentSpec(**kwargs), ceiling
+    try:
+        kwargs["angle_policy"] = _angle_policy_from(cfg)
+        return ExperimentSpec(**kwargs), ceiling
+    except SpecError as exc:
+        named = ", ".join(text for key, text in sources.items() if _KEY_FIELDS[key] in exc.fields)
+        raise ValueError(f"{named}: {exc}" if named else str(exc)) from None
 
 
 def _fmt(value: float) -> str:

@@ -1,5 +1,25 @@
 """Shared exception types."""
 
+import contextlib
+
+
+class SpecError(ValueError):
+    """A rejected experiment value; ``fields`` lists the spec fields at fault,
+    or the parts of the angle prior: angle_range, min_sep, angle_list."""
+
+    def __init__(self, fields: str, message: str):
+        super().__init__(message)
+        self.fields = fields.split()
+
+
+@contextlib.contextmanager
+def blame(fields: str):
+    """Re-raise a ValueError of the enclosed check as a SpecError on ``fields``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpecError(fields, str(exc)) from None
+
 
 class EstimationError(RuntimeError):
     """An estimation stage could not produce a usable result.

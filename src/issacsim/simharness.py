@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .array_channel import (
+    GAIN_POLICIES,
     AnglePolicy,
     PathSet,
     ReceivedBlock,
@@ -27,7 +28,7 @@ from .array_channel import (
     simulate_reception,
     synthesize_channel,
 )
-from .errors import EstimationError
+from .errors import EstimationError, SpecError, blame
 from .estimators import (
     ClosedFormPredictions,
     closed_form_predictions,
@@ -101,8 +102,9 @@ class ExperimentSpec:
     M = 32 antennas, L = 3 paths, pilot_len 3, transmit SNRs of -10 dB in
     both phases, unit noise variance, and 100 snapshots per block.
     ``pilot_pow``/``data_pow`` are absolute linear powers; with the default
-    ``noise_var`` = 1 they equal the transmit SNRs. Construction runs the
-    array, frame and subarray-plan checks, so bad values fail before a trial.
+    ``noise_var`` = 1 they equal the transmit SNRs. Construction checks
+    every value, the angle prior and the subarray plan, so bad values fail
+    before a trial, with a SpecError naming the fields at fault.
     """
 
     num_antennas: int = 32
@@ -125,56 +127,66 @@ class ExperimentSpec:
     sweep_values: Optional[Tuple[float, ...]] = None
     pt_tracks_pd: bool = True
 
+    # Built and checked once per spec and shared by its trials.
+    geometry: UlaGeometry = dataclasses.field(init=False, repr=False, compare=False)
+    transmission: TransmissionConfig = dataclasses.field(init=False, repr=False, compare=False)
+    pilot_seq: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.mode not in ("los", "multipath"):
-            raise ValueError("mode must be 'los' or 'multipath'")
+            raise SpecError("mode", "mode must be 'los' or 'multipath'")
         if self.mode == "los" and self.num_paths != 1:
-            raise ValueError("los mode requires num_paths == 1")
+            raise SpecError("mode num_paths", "los mode requires num_paths == 1")
         if self.angle_stage not in ("estimated", "oracle"):
-            raise ValueError("angle_stage must be 'estimated' or 'oracle'")
+            raise SpecError("angle_stage", "angle_stage must be 'estimated' or 'oracle'")
+        if self.gain_policy not in GAIN_POLICIES:
+            raise SpecError("gain_policy", f"unknown gain policy {self.gain_policy!r}; "
+                                           f"use one of {', '.join(GAIN_POLICIES)}")
         if self.num_trials < 1:
-            raise ValueError("num_trials must be >= 1")
+            raise SpecError("num_trials", "num_trials must be >= 1")
         if self.pilot_len < 1:
-            raise ValueError("gain estimation needs pilot_len >= 1")
+            raise SpecError("pilot_len", "gain estimation needs pilot_len >= 1")
+        # TransmissionConfig checks these too, but in one message for all.
+        for name in ("pilot_pow", "data_pow"):
+            if not getattr(self, name) > 0:
+                raise SpecError(name, "powers must be positive")
+        if not self.noise_var >= 0:
+            raise SpecError("noise_var", "noise_var must be nonnegative")
         if self.angle_hold_trials < 1:
-            raise ValueError("angle_hold_trials must be >= 1")
+            raise SpecError("angle_hold_trials", "angle_hold_trials must be >= 1")
         if not _MIN_GRID_STEP_DEG <= self.grid_step_deg < np.inf:
-            raise ValueError(f"grid_step_deg must be finite and >= {_MIN_GRID_STEP_DEG}, "
-                             f"got {self.grid_step_deg}")
+            raise SpecError("grid_step_deg", f"grid_step_deg must be finite and >= "
+                                             f"{_MIN_GRID_STEP_DEG}, got {self.grid_step_deg}")
         if self.sweep_axis is not None and self.sweep_axis not in _AXES:
-            raise ValueError(
-                f"unknown sweep axis {self.sweep_axis!r}; valid axes: {', '.join(_AXES)}")
+            raise SpecError("sweep_axis", f"unknown sweep axis {self.sweep_axis!r}; "
+                                          f"valid axes: {', '.join(_AXES)}")
         if self.sweep_values is not None:
             values = tuple(float(v) for v in self.sweep_values)
             if not values:
-                raise ValueError("sweep_values must be nonempty when given")
+                raise SpecError("sweep_values", "sweep_values must be nonempty when given")
             if self.sweep_axis not in (None, *POWER_AXES) and not all(
                     v.is_integer() for v in values):
-                raise ValueError(
-                    f"sweep_values on the {self.sweep_axis!r} axis must be integers")
+                raise SpecError("sweep_axis sweep_values",
+                                f"sweep_values on the {self.sweep_axis!r} axis must be integers")
             object.__setattr__(self, "sweep_values", values)
         if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
-        self.geometry()
-        self.transmission()
+            raise SpecError("base_seed", "base_seed must be nonnegative")
+        with blame("num_antennas"):
+            object.__setattr__(self, "geometry", UlaGeometry(self.num_antennas))
+        # The powers and noise are checked above; a fractional length is left.
+        with blame("pilot_len data_len"):
+            object.__setattr__(self, "transmission", TransmissionConfig(
+                self.pilot_len, self.data_len, self.pilot_pow, self.data_pow, self.noise_var))
+        object.__setattr__(self, "pilot_seq", generate_pilot_sequence(self.transmission.pilot_len))
+        self.pilot_seq.setflags(write=False)
+        self.angle_policy.check_paths(self.num_paths)
         if self.multipath and self.angle_stage == "estimated":
-            SubarrayPlan.for_sources(self.num_antennas, self.num_paths, self.num_subarrays)
+            with blame("num_antennas num_paths num_subarrays"):
+                SubarrayPlan.for_sources(self.num_antennas, self.num_paths, self.num_subarrays)
 
     @property
     def multipath(self) -> bool:
         return self.mode == "multipath"
-
-    def geometry(self) -> UlaGeometry:
-        return UlaGeometry(self.num_antennas)
-
-    def transmission(self) -> TransmissionConfig:
-        return TransmissionConfig(
-            pilot_len=self.pilot_len,
-            data_len=self.data_len,
-            pilot_power=self.pilot_pow,
-            data_power=self.data_pow,
-            noise_var=self.noise_var,
-        )
 
     @functools.cached_property
     def angle_grid(self) -> np.ndarray:
@@ -227,10 +239,8 @@ def draw_realization(spec: ExperimentSpec, trial_index: int
     angles = sample_angles(spec.num_paths, rng_angles, spec.angle_policy)
     gains = sample_gains(spec.num_paths, rng_trial, spec.gain_policy)
     paths = PathSet(angles=angles, gains=gains)
-    geom = spec.geometry()
-    h = synthesize_channel(geom, paths)
-    pilot_seq = generate_pilot_sequence(spec.pilot_len)
-    block = simulate_reception(h, spec.transmission(), pilot_seq, rng_trial)
+    h = synthesize_channel(spec.geometry, paths)
+    block = simulate_reception(h, spec.transmission, spec.pilot_seq, rng_trial)
     return paths, h, block
 
 

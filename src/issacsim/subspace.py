@@ -58,6 +58,13 @@ class SampleCovariance:
             raise ValueError("covariance is not Hermitian within tolerance")
         object.__setattr__(self, "matrix", matrix)
 
+    @classmethod
+    def _built(cls, matrix: np.ndarray, num_snapshots: int):
+        """Wrap, unchecked, a complex matrix this module made exactly Hermitian."""
+        cov = object.__new__(cls)
+        cov.__dict__.update(matrix=matrix, num_snapshots=num_snapshots)
+        return cov
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -74,7 +81,7 @@ def sample_covariance(block: ReceivedBlock) -> SampleCovariance:
         raise ValueError("block holds no snapshots")
     acc = block.pilot_obs @ block.pilot_obs.conj().T
     acc = acc + block.data_obs @ block.data_obs.conj().T
-    return SampleCovariance(matrix=_symmetrize(acc / n), num_snapshots=n)
+    return SampleCovariance._built(_symmetrize(acc / n), n)
 
 
 def hermitian_eigendecomposition(cov: SampleCovariance):
@@ -133,8 +140,8 @@ def subarray_covariances(block: ReceivedBlock, plan: SubarrayPlan) -> List[Sampl
         raise ValueError("plan parent_size does not match the block")
     full = sample_covariance(block)
     m_sub = plan.subarray_size
-    return [SampleCovariance(matrix=full.matrix[p:p + m_sub, p:p + m_sub],
-                             num_snapshots=full.num_snapshots)
+    return [SampleCovariance._built(full.matrix[p:p + m_sub, p:p + m_sub],
+                                    full.num_snapshots)
             for p in range(plan.num_subarrays)]
 
 
@@ -154,8 +161,7 @@ def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovarianc
     mean = sum(c.matrix for c in covs) / len(covs)
     # J conj(R) J reverses both axes of the conjugate.
     smoothed = 0.5 * (mean + np.flip(mean.conj()))
-    return SampleCovariance(matrix=_symmetrize(smoothed),
-                            num_snapshots=covs[0].num_snapshots)
+    return SampleCovariance._built(_symmetrize(smoothed), covs[0].num_snapshots)
 
 
 def make_angle_grid(step_deg: float) -> np.ndarray:
@@ -173,7 +179,8 @@ def make_angle_grid(step_deg: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pseudospectrum:
-    """Scan values over an increasing angle grid (radians).
+    """Scan values (float vector) over an increasing angle grid (radians)
+    inside (-pi/2, pi/2), such as ``make_angle_grid`` checks and builds.
 
     ``sums`` are the superdiagonal sums c_k of a Hermitian Q whose quadratic
     form f(u) = a(u)^H Q a(u) = c_0 + 2 Re sum_k c_k exp(j pi k u), with
@@ -184,21 +191,6 @@ class Pseudospectrum:
     grid: np.ndarray
     values: np.ndarray
     sums: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.shape != grid.shape:
-            raise ValueError("grid and values must be matching vectors")
-        if grid.size and not (grid[0] > -np.pi / 2 and grid[-1] < np.pi / 2):
-            raise ValueError("grid must lie inside (-pi/2, pi/2)")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("values must be finite and nonnegative")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sums", np.asarray(self.sums, dtype=np.complex128))
 
 
 @functools.lru_cache(maxsize=64)

@@ -139,6 +139,23 @@ class TestPathSampling:
         with pytest.raises(ValueError, match="infeasible"):
             sample_angles(3, np.random.default_rng(0), policy)
 
+    def test_check_paths_rejects_what_no_draw_can_meet(self):
+        AnglePolicy(fixed=(0.1, -0.2)).check_paths(2)
+        with pytest.raises(ValueError, match="policy fixes 2 angles but 3 paths"):
+            AnglePolicy(fixed=(0.1, -0.2)).check_paths(3)
+        narrow = AnglePolicy(low=-0.01, high=0.01, min_sin_sep=0.5)
+        narrow.check_paths(1)
+        with pytest.raises(ValueError, match="do not fit in the sine range"):
+            narrow.check_paths(2)
+
+    def test_tight_separation_left_to_the_draws(self):
+        # two gaps of 0.45 fit in the sine range 2 sin(0.5) = 0.959, so the
+        # policy passes check_paths; the rejection draws still give up on it
+        tight = AnglePolicy(low=-0.5, high=0.5, min_sin_sep=0.45)
+        tight.check_paths(3)
+        with pytest.raises(ValueError, match="could not draw 3 angles"):
+            sample_angles(3, np.random.default_rng(0), tight)
+
     def test_fixed_policy_bypasses_draw(self):
         policy = AnglePolicy(fixed=(0.1, -0.2))
         angles = sample_angles(2, np.random.default_rng(0), policy)

@@ -156,19 +156,26 @@ class TestConfigParsing:
         ("sigma2 = 10000 dB\n", "error: sigma2 = '10000 dB': power must be finite"),
         ("axis = pd\nsweep_values = 0 dB, inf dB\n",
          "error: sweep_values = '0 dB, inf dB': power must be finite"),
-        ("grid_step_deg = -1\n", "error: grid_step_deg must be finite and >= 0.001, got -1.0"),
-        ("grid_step_deg = nan\n", "error: grid_step_deg must be finite and >= 0.001, got nan"),
+        ("grid_step_deg = -1\n",
+         "error: grid_step_deg = '-1': grid_step_deg must be finite and >= 0.001, got -1.0"),
+        ("grid_step_deg = nan\n",
+         "error: grid_step_deg = 'nan': grid_step_deg must be finite and >= 0.001, got nan"),
         ("grid_step_deg = 1e-9\n",
-         "error: grid_step_deg must be finite and >= 0.001, got 1e-09"),
+         "error: grid_step_deg = '1e-9': grid_step_deg must be finite and >= 0.001, "
+         "got 1e-09"),
         ("l = 1\nangles_deg = 95\n", "error: angles_deg = '95': angle 1.658"),
         ("min_sep_deg = -1\n",
          "error: min_sep_deg = '-1': min_sin_sep must be nonnegative"),
         ("angle_low_deg = 80\nangle_high_deg = 70\n",
          "error: angle_low_deg = '80', angle_high_deg = '70': need low < high"),
+        # A range error names the range keys only, not the separation.
+        ("angle_low_deg = 80\nangle_high_deg = 70\nmin_sep_deg = 5\n",
+         "error: angle_low_deg = '80', angle_high_deg = '70': need low < high"),
     ], ids=["spec_key", "composite_key", "sweep_values_without_axis", "nan_power",
             "infinite_power", "overflowing_db_power", "infinite_power_axis_value",
             "negative_grid_step", "nan_grid_step", "tiny_grid_step",
-            "angle_out_of_range", "negative_min_sep", "angle_range_reversed"])
+            "angle_out_of_range", "negative_min_sep", "angle_range_reversed",
+            "angle_range_reversed_with_min_sep"])
     def test_bad_value_error_names_its_key(self, tmp_path, capsys, text, message):
         cfg_path = _write(tmp_path, "run.cfg", text)
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
@@ -181,28 +188,59 @@ class TestConfigParsing:
         assert err.startswith(message)
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("text, message", [
-        ("mode = foo\n", "error: mode must be 'los' or 'multipath'"),
-        ("angle_stage = foo\n", "error: angle_stage must be 'estimated' or 'oracle'"),
-        ("angle_hold_trials = 0\n", "error: angle_hold_trials must be >= 1"),
-        ("seed = -1\n", "error: base_seed must be nonnegative"),
-        ("axis = pt\nsweep_values = ,\n", "error: sweep_values must be nonempty"),
+    @pytest.mark.parametrize("text, flags, message", [
+        ("mode = foo\n", [], "error: mode = 'foo': mode must be 'los' or 'multipath'"),
+        ("angle_stage = foo\n", [],
+         "error: angle_stage = 'foo': angle_stage must be 'estimated' or 'oracle'"),
+        ("angle_hold_trials = 0\n", [],
+         "error: angle_hold_trials = '0': angle_hold_trials must be >= 1"),
+        ("seed = -1\n", [], "error: seed = '-1': base_seed must be nonnegative"),
+        ("axis = pt\nsweep_values = ,\n", [],
+         "error: sweep_values = ',': sweep_values must be nonempty"),
         # The bad point comes last: every point is checked before any trial.
-        ("axis = rho\nsweep_values = 3, 0\ntrials = 1000\n",
+        ("axis = rho\nsweep_values = 3, 0\ntrials = 1000\n", [],
          "error: gain estimation needs pilot_len >= 1"),
-        ("axis = m\nsweep_values = 32, 4\nl = 3\n",
+        ("axis = m\nsweep_values = 32, 4\nl = 3\n", [],
          "error: subarrays too small"),
+        ("rho = 0\n", [], "error: rho = '0': gain estimation needs pilot_len >= 1"),
+        ("trials = 0\n", [], "error: trials = '0': num_trials must be >= 1"),
+        ("trials = 5\n", ["--trials", "0"], "error: --trials 0: num_trials must be >= 1"),
+        ("mode = los\n", [], "error: mode = 'los': los mode requires num_paths == 1"),
+        ("pd = 0\n", [], "error: pd = '0': powers must be positive"),
+        ("kappa = 0\n", [], "error: kappa = '0': data_len must be a positive integer"),
+        ("m = 4\nl = 3\n", [], "error: m = '4', l = '3': subarrays too small"),
+        # Found before the first trial's draw, which used to find them.
+        ("gain_policy = foo\n", [],
+         "error: gain_policy = 'foo': unknown gain policy 'foo'; use one of gaussian, unit"),
+        ("angles_deg = -30, 0\n", [],
+         "error: angles_deg = '-30, 0': policy fixes 2 angles but 3 paths requested"),
+        # A fixed list makes the parser ignore the range keys: not named.
+        ("angles_deg = -30, 0\nangle_low_deg = -10\nangle_high_deg = 10\nl = 3\n", [],
+         "error: l = '3', angles_deg = '-30, 0': policy fixes 2 angles but 3 paths requested"),
+        ("l = 3\nmin_sep_deg = 60\n", [],
+         "error: l = '3', min_sep_deg = '60': 3 angles with sine separation >= 0.8660 "
+         "do not fit in the sine range 1.7321; it is infeasible"),
+        ("angle_low_deg = -10\nangle_high_deg = 10\nmin_sep_deg = 11\n", [],
+         "error: angle_low_deg = '-10', angle_high_deg = '10', min_sep_deg = '11': "
+         "3 angles with sine separation >= 0.1908 do not fit"),
     ], ids=["mode", "angle_stage", "angle_hold_trials", "base_seed", "empty_sweep_values",
-            "zero_pilots_sweep_point", "small_array_sweep_point"])
+            "zero_pilots_sweep_point", "small_array_sweep_point", "zero_pilots",
+            "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
+            "zero_data_len", "small_array", "unknown_gain_policy", "fixed_angle_count",
+            "fixed_angle_count_beside_range", "infeasible_min_sep",
+            "infeasible_min_sep_in_range"])
     def test_bad_spec_value_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
-                                                     text, message):
+                                                     text, flags, message):
+        # Each spec value is checked once, when the spec is built, and its
+        # error leads with the setting it came from.
         def no_trials(spec, trial_index):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(harness, "run_trial", no_trials)
         cfg_path = _write(tmp_path, "run.cfg", text)
         # No --oracle-angles: it would override angle_stage.
-        code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv")])
+        code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                     *flags])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: trials, aggregation, sweeps, CDFs."""
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import issacsim.simharness as harness
 from issacsim.array_channel import AnglePolicy
-from issacsim.errors import EstimationError
+from issacsim.errors import EstimationError, SpecError
 from issacsim.estimators import ls_conventional, mrc_beamformer, empirical_snr
 from issacsim.simharness import (
     ExperimentSpec,
@@ -50,6 +51,52 @@ class TestSpecValidation:
     def test_pilotless_spec_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(pilot_len=0)
+
+    @pytest.mark.parametrize("changes, fields", [
+        ({"base_seed": -1}, ["base_seed"]),
+        ({"mode": "los"}, ["mode", "num_paths"]),
+        ({"gain_policy": "foo"}, ["gain_policy"]),
+        ({"data_pow": 0.0}, ["data_pow"]),
+        ({"data_len": 0}, ["pilot_len", "data_len"]),
+        ({"num_antennas": 0}, ["num_antennas"]),
+        ({"pilot_len": 2.5}, ["pilot_len", "data_len"]),
+        ({"num_paths": 0}, ["num_paths"]),
+        ({"angle_policy": AnglePolicy(fixed=(0.1,))}, ["num_paths", "angle_list"]),
+        ({"angle_policy": AnglePolicy(min_sin_sep=0.9)},
+         ["num_paths", "angle_range", "min_sep"]),
+        ({"num_antennas": 4}, ["num_antennas", "num_paths", "num_subarrays"]),
+    ])
+    def test_rejection_names_its_fields(self, changes, fields):
+        with pytest.raises(SpecError) as caught:
+            ExperimentSpec(**changes)
+        assert caught.value.fields == fields
+
+    def test_trial_objects_built_once_and_read_only(self):
+        spec = ExperimentSpec()
+        assert spec.geometry.num_antennas == 32
+        assert spec.transmission.pilot_len == 3
+        assert spec.transmission.data_power == spec.data_pow
+        for shared in (spec.pilot_seq, spec.angle_grid):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
+        np.testing.assert_array_equal(spec.pilot_seq, np.ones(3))
+        assert spec.angle_grid is spec.angle_grid
+        assert draw_realization(spec, 0)[2].pilot_seq is spec.pilot_seq
+
+    def test_sweep_point_gets_its_own_trial_objects(self):
+        # run_sweep builds each point with dataclasses.replace, which must
+        # rebuild what the point changes instead of sharing the base spec's.
+        spec = ExperimentSpec()
+        point = dataclasses.replace(spec, pilot_len=5, num_antennas=16, grid_step_deg=1.0)
+        assert point == dataclasses.replace(spec, pilot_len=5, num_antennas=16,
+                                            grid_step_deg=1.0)
+        assert point.pilot_seq is not spec.pilot_seq and point.pilot_seq.size == 5
+        assert not point.pilot_seq.flags.writeable
+        assert point.transmission.pilot_len == 5 and point.geometry.num_antennas == 16
+        assert point.angle_grid.size == 179 and spec.angle_grid.size == 357
+        assert not point.angle_grid.flags.writeable
+        assert draw_realization(point, 0)[2].pilot_obs.shape == (16, 5)
 
 
 class TestRunTrial:

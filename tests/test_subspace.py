@@ -1,5 +1,7 @@
 """Tests for covariance estimation, smoothing, and spectral angle search."""
 
+import collections
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import issacsim.subspace as subspace
 from issacsim.array_channel import (
     PathSet,
     ReceivedBlock,
@@ -18,7 +21,7 @@ from issacsim.array_channel import (
     synthesize_channel,
 )
 from issacsim.errors import EstimationError
-from issacsim.simharness import ExperimentSpec, draw_realization
+from issacsim.simharness import ExperimentSpec, draw_realization, run_trial
 from issacsim.subspace import (
     Pseudospectrum,
     SampleCovariance,
@@ -428,6 +431,49 @@ class TestForwardBackwardSmooth:
         with pytest.raises(ValueError):
             forward_backward_smooth([
                 SampleCovariance(np.eye(2), 1), SampleCovariance(np.eye(3), 1)])
+
+
+class TestTracedStageContract:
+    """The benchmark tracer wraps the public stage functions where they are
+    looked up and binds some argument names; these are the shapes it needs."""
+
+    def _count_calls(self, monkeypatch, names):
+        calls = collections.Counter()
+        for name in names:
+            original = getattr(subspace, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(subspace, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("mode, num_paths, expected", [
+        ("multipath", 3, {"subarray_covariances": 1, "sample_covariance": 1,
+                          "forward_backward_smooth": 1, "music_spectrum": 1,
+                          "hermitian_eigendecomposition": 1, "find_peaks": 1}),
+        ("los", 1, {"sample_covariance": 1, "bartlett_spectrum": 1, "find_peaks": 1}),
+    ])
+    def test_one_scan_calls_each_stage_once(self, monkeypatch, mode, num_paths, expected):
+        spec = ExperimentSpec(mode=mode, num_paths=num_paths, base_seed=3)
+        block = draw_realization(spec, 0)[2]
+        stages = ("subarray_covariances", "sample_covariance", "forward_backward_smooth",
+                  "music_spectrum", "hermitian_eigendecomposition", "bartlett_spectrum",
+                  "find_peaks")
+        calls = self._count_calls(monkeypatch, stages)
+        scan_angles(block, num_paths, spec.angle_grid, spec.multipath, None)
+        assert dict(calls) == expected
+
+    def test_bound_argument_names(self):
+        def names(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert names(music_spectrum) == ["cov", "num_sources", "grid"]
+        assert names(bartlett_spectrum) == ["cov", "grid"]
+        assert names(simulate_reception)[:2] == ["h", "config"]
+        assert names(run_trial) == ["spec", "trial_index"]
+        assert names(scan_angles)[2] == "grid"
 
 
 class TestMusicSpectrum:
