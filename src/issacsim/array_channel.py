@@ -46,11 +46,13 @@ def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0) -> np
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _check_angle(theta: float) -> float:
-    theta = float(theta)
-    if not -_HALF_PI < theta < _HALF_PI:
-        raise ValueError(f"angle {theta} rad outside the open interval (-pi/2, pi/2)")
-    return theta
+def _check_angles(angles) -> np.ndarray:
+    """``angles`` as floats; raises on the first outside (-pi/2, pi/2), NaN included."""
+    angles = np.asarray(angles, dtype=float)
+    inside = np.abs(angles) < _HALF_PI
+    if not inside.all():
+        raise ValueError(f"angle {angles[~inside][0]} rad outside the open interval (-pi/2, pi/2)")
+    return angles
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,9 @@ def steering_matrix(geom: UlaGeometry, angles: Sequence[float]) -> np.ndarray:
     Entry (m, l) (0-based) is exp(j*pi*m*sin(angles[l])), so every column's
     squared norm equals the number of antennas.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    angles = _check_angles(np.atleast_1d(angles))
     if angles.ndim != 1:
         raise ValueError("angles must be one-dimensional")
-    for theta in angles:
-        _check_angle(theta)
     m = np.arange(geom.num_antennas)[:, None]
     return np.exp(1j * np.pi * m * np.sin(angles)[None, :])
 
@@ -89,14 +89,12 @@ class PathSet:
     gains: np.ndarray
 
     def __post_init__(self):
-        angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
+        angles = _check_angles(np.atleast_1d(self.angles))
         gains = np.atleast_1d(np.asarray(self.gains, dtype=np.complex128))
         if angles.ndim != 1 or gains.ndim != 1:
             raise ValueError("angles and gains must be one-dimensional")
         if angles.size != gains.size or angles.size < 1:
             raise ValueError("need the same positive number of angles and gains")
-        for theta in angles:
-            _check_angle(theta)
         if np.unique(angles).size != angles.size:
             raise ValueError("path angles must be pairwise distinct")
         object.__setattr__(self, "angles", angles)
@@ -125,13 +123,13 @@ class AnglePolicy:
     def __post_init__(self):
         # A rejection is a SpecError naming the part of the prior at fault.
         with blame("angle_range"):
-            if _check_angle(self.low) >= _check_angle(self.high):
+            if _check_angles(self.low) >= _check_angles(self.high):
                 raise ValueError("need low < high")
-        if self.min_sin_sep < 0:
+        if not self.min_sin_sep >= 0:
             raise SpecError("min_sep", "min_sin_sep must be nonnegative")
         if self.fixed is not None:
             with blame("angle_list"):
-                object.__setattr__(self, "fixed", tuple(_check_angle(t) for t in self.fixed))
+                object.__setattr__(self, "fixed", tuple(_check_angles(self.fixed).tolist()))
 
     def check_paths(self, num_paths: int) -> None:
         """Reject num_paths < 1, a fixed list of another length, or
@@ -204,9 +202,9 @@ class TransmissionConfig:
             raise ValueError("pilot_len must be a nonnegative integer")
         if int(self.data_len) != self.data_len or self.data_len < 1:
             raise ValueError("data_len must be a positive integer")
-        if self.pilot_power <= 0 or self.data_power <= 0:
+        if not (self.pilot_power > 0 and self.data_power > 0):
             raise ValueError("powers must be positive")
-        if self.noise_var < 0:
+        if not self.noise_var >= 0:
             raise ValueError("noise_var must be nonnegative")
         object.__setattr__(self, "pilot_len", int(self.pilot_len))
         object.__setattr__(self, "data_len", int(self.data_len))

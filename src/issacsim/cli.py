@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, simulation runs, CSV emission.
+"""Command-line front end: config parsing, sweep points, simulation runs, CSV emission.
 
 Three subcommands cover the standard experiment shapes:
 
@@ -9,12 +9,15 @@ Three subcommands cover the standard experiment shapes:
 Config files are flat ``key = value`` text; ``#`` starts a comment. Power
 quantities accept either a linear ratio (``pt = 0.1``) or decibels with an
 explicit suffix (``pt = -10 dB``); both are relative to the noise variance.
+Decibels, the scaling by the noise variance and the sweep points live here:
+the harness runs specs of absolute linear values, one per sweep point.
 Angles are degrees in config files and CSV output, radians internally.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -23,18 +26,7 @@ import numpy as np
 
 from .array_channel import AnglePolicy
 from .errors import EstimationError, SpecError
-from .simharness import (
-    POWER_AXES,
-    _AXES,
-    ExperimentSpec,
-    _from_db,
-    _power_from_snr,
-    _to_db,
-    collect_trials,
-    draw_realization,
-    run_sweep,
-    snr_cdfs,
-)
+from .simharness import ExperimentSpec, collect_trials, draw_realization, run_sweep, snr_cdfs
 from .subspace import bartlett_spectrum, sample_covariance, scan_angles
 
 __all__ = ["main", "load_run_config", "build_spec"]
@@ -46,6 +38,34 @@ SWEEP_CSV_HEADER = (
 )
 
 DEFAULT_MAX_FAILURE_RATE = 0.1
+
+# Sweep axes, each named after the config key it sweeps, with its default
+# sweep_values: transmit SNRs on the power axes, counts on the others.
+_AXES = {
+    "m": "8, 16, 32, 64",
+    "pt": "-20 dB, -15 dB, -10 dB, -5 dB, 0 dB",
+    "pd": "-30 dB, -25 dB, -20 dB, -15 dB, -10 dB, -5 dB, 0 dB, 5 dB",
+    "rho": "1, 2, 3, 4, 6, 8",
+}
+_POWER_AXES = ("pt", "pd")
+Sweep = Tuple[Optional[str], Tuple[Tuple[float, ExperimentSpec], ...]]
+
+
+# The one dB conversion pair of the package. Private so that it stays out of
+# __all__: the benchmark's tracer wraps every __all__ function, and a cdf run
+# calls _to_db for every CSV row.
+def _from_db(db: float) -> float:
+    return float(10.0 ** (db / 10.0))
+
+
+def _to_db(value: float) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(10.0 * np.log10(value))
+
+
+def _power_from_snr(snr: float, noise_var: float) -> float:
+    """Absolute power of a transmit SNR; with zero noise the SNR is the power."""
+    return snr * noise_var if noise_var > 0 else snr
 
 
 def _parse_power(text: str) -> float:
@@ -77,9 +97,20 @@ def _parse_list(text: str) -> List[str]:
     return [item for item in items if item]
 
 
+def _parse_points(axis: str, text: str) -> Tuple[float, ...]:
+    """Sweep points: linear transmit SNRs on the power axes, integers on the others."""
+    power = axis in _POWER_AXES
+    values = tuple(_parse_power(v) if power else float(v) for v in _parse_list(text))
+    if not values:
+        raise ValueError("sweep_values must be nonempty when given")
+    if not power and not all(v.is_integer() for v in values):
+        raise ValueError(f"sweep_values on the {axis!r} axis must be integers")
+    return values
+
+
 # Config keys that set one ExperimentSpec field: key -> (field, parser).
-# A CLI flag named like one of these keys (--seed, --trials, --mode,
-# --axis) overrides it.
+# A CLI flag named like one of these keys (--seed, --trials, --mode)
+# overrides it.
 _SPEC_KEYS = {
     "m": ("num_antennas", int),
     "l": ("num_paths", int),
@@ -92,17 +123,16 @@ _SPEC_KEYS = {
     "angle_stage": ("angle_stage", str.lower),
     "angle_hold_trials": ("angle_hold_trials", int),
     "grid_step_deg": ("grid_step_deg", float),
-    "pt_tracks_pd": ("pt_tracks_pd", _parse_bool),
-    "axis": ("sweep_axis", str.lower),
 }
-# Every key but max_failure_rate with the ExperimentSpec field (or part of
-# the angle prior) it sets, to name the keys of a SpecError's fields.
+# Every key that sets a spec value, with the ExperimentSpec field (or part
+# of the angle prior) it sets, to name the keys of a SpecError's fields.
+# The sweep keys and max_failure_rate set none.
 _KEY_FIELDS = {key: field for key, (field, _) in _SPEC_KEYS.items()} | {
     "angles_deg": "angle_list", "angle_low_deg": "angle_range",
     "angle_high_deg": "angle_range", "min_sep_deg": "min_sep",
     "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var",
-    "subarrays": "num_subarrays", "sweep_values": "sweep_values"}
-_VALID_KEYS = (*_KEY_FIELDS, "max_failure_rate")
+    "subarrays": "num_subarrays"}
+_VALID_KEYS = (*_KEY_FIELDS, "axis", "sweep_values", "pt_tracks_pd", "max_failure_rate")
 
 
 def _parse_key(cfg: Dict[str, str], key: str, parse: Callable[[str], Any],
@@ -145,6 +175,13 @@ def _radians(text: str) -> float:
     return float(np.deg2rad(float(text)))
 
 
+def _sine_separation(text: str) -> float:
+    """sin of a separation in degrees; AnglePolicy rejects a negative one."""
+    if not abs(float(text)) <= 90.0:  # NaN, inf, or past 90 where the sine folds back
+        raise ValueError("min_sep_deg must lie in [0, 90] degrees")
+    return float(np.sin(_radians(text)))
+
+
 def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
     """The angle prior of the config; a SpecError names the part at fault."""
     if "angles_deg" in cfg:
@@ -152,23 +189,23 @@ def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
             fixed=tuple(_radians(v) for v in _parse_list(text))))
     low = _parse_key(cfg, "angle_low_deg", _radians, AnglePolicy.low)
     high = _parse_key(cfg, "angle_high_deg", _radians, AnglePolicy.high)
-    sep = _parse_key(cfg, "min_sep_deg", lambda text: float(np.sin(_radians(text))),
-                     AnglePolicy.min_sin_sep)
+    sep = _parse_key(cfg, "min_sep_deg", _sine_separation, AnglePolicy.min_sin_sep)
     return AnglePolicy(low=low, high=high, min_sin_sep=sep)
 
 
-def build_spec(cfg: Dict[str, str],
-               args: Optional[argparse.Namespace] = None
-               ) -> Tuple[ExperimentSpec, float]:
+def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
+               ) -> Tuple[ExperimentSpec, float, Sweep]:
     """ExperimentSpec from a parsed config plus CLI overrides.
 
-    Returns the spec and the failure-rate ceiling for the exit status.
+    Returns the spec, the failure-rate ceiling for the exit status, and the
+    sweep: its axis (None when unset) and the ``(sweep_value, spec)`` pair of
+    each point. Every spec is built, and so checked, before it returns.
     """
     kwargs: Dict[str, object] = {
         field: _parse_key(cfg, key, parse)
         for key, (field, parse) in _SPEC_KEYS.items() if key in cfg}
     # Where each key's value came from: the config, or a flag overriding it.
-    sources = {key: f"{key} = {cfg[key]!r}" for key in _KEY_FIELDS if key in cfg}
+    sources = {key: f"{key} = {cfg[key]!r}" for key in _VALID_KEYS if key in cfg}
     flags = vars(args) if args is not None else {}
     for key, (field, _) in _SPEC_KEYS.items():
         if flags.get(key) is not None:
@@ -187,24 +224,40 @@ def build_spec(cfg: Dict[str, str],
         kwargs["pilot_pow"] = _power_from_snr(_parse_key(cfg, "pt", _parse_power), noise_var)
     if "pd" in cfg:
         kwargs["data_pow"] = _power_from_snr(_parse_key(cfg, "pd", _parse_power), noise_var)
-    if "sweep_values" in cfg:
-        axis = kwargs.get("sweep_axis")
-        if axis is None:
-            raise ValueError(f"sweep_values given with no sweep axis; set axis to one "
-                             f"of {', '.join(_AXES)}")
-        parse = _parse_power if axis in POWER_AXES else float
-        kwargs["sweep_values"] = _parse_key(
-            cfg, "sweep_values", lambda text: tuple(parse(v) for v in _parse_list(text)))
+
+    axis = flags.get("axis") or (cfg["axis"].lower() if "axis" in cfg else None)
+    if axis not in (None, *_AXES):
+        raise ValueError(f"axis = {cfg['axis']!r}: unknown sweep axis {axis!r}; "
+                         f"valid axes: {', '.join(_AXES)}")
+    if flags.get("axis"):
+        sources["axis"] = f"--axis {axis}"
+    if "sweep_values" in cfg and axis is None:
+        raise ValueError(f"sweep_values given with no sweep axis; set axis to one "
+                         f"of {', '.join(_AXES)}")
+    values = _parse_key(cfg, "sweep_values", lambda text: _parse_points(axis, text),
+                        _parse_points(axis, _AXES[axis]) if axis else ())
+    tracks = _parse_key(cfg, "pt_tracks_pd", _parse_bool, True)
+    # A point's value stands in for the keys it sets, and leads its errors.
+    keys = ("pd", "pt") if axis == "pd" and tracks else (axis,) if axis else ()
+    point_sources = dict.fromkeys(keys, sources.get("sweep_values", sources.get("axis"))) | {
+        key: text for key, text in sources.items() if key not in keys}
 
     ceiling = _parse_key(cfg, "max_failure_rate", float, DEFAULT_MAX_FAILURE_RATE)
     if not 0.0 <= ceiling <= 1.0:
         raise ValueError(f"max_failure_rate must lie in [0, 1], got {ceiling}")
     try:
         kwargs["angle_policy"] = _angle_policy_from(cfg)
-        return ExperimentSpec(**kwargs), ceiling
+        spec = ExperimentSpec(**kwargs)
+        sources = point_sources  # from here on, errors are those of the points
+        power = axis in _POWER_AXES
+        points = tuple((_to_db(v) if power else v, dataclasses.replace(spec, **{
+            _KEY_FIELDS[key]: _power_from_snr(v, noise_var) if power else int(v) for key in keys}))
+            for v in values)
     except SpecError as exc:
-        named = ", ".join(text for key, text in sources.items() if _KEY_FIELDS[key] in exc.fields)
+        named = ", ".join(text for key, text in sources.items()
+                          if _KEY_FIELDS.get(key) in exc.fields)
         raise ValueError(f"{named}: {exc}" if named else str(exc)) from None
+    return spec, ceiling, (axis, points)
 
 
 def _fmt(value: float) -> str:
@@ -222,8 +275,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _cmd_sweep(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
-    points = run_sweep(spec)
+def _cmd_sweep(sweep: Sweep, ceiling: float, args: argparse.Namespace) -> int:
+    axis, specs = sweep
+    if axis is None:
+        raise ValueError(f"sweep needs an axis; set axis or --axis to one of {', '.join(_AXES)}")
+    points = run_sweep(specs)
     rows = []
     for p in points:
         rows.append((
@@ -236,7 +292,7 @@ def _cmd_sweep(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -
     _write_csv(Path(args.out), SWEEP_CSV_HEADER, rows)
     worst = max(p.failure_rate for p in points)
     for p in points:
-        print(f"{spec.sweep_axis}={_fmt(p.sweep_value)}: "
+        print(f"{axis}={_fmt(p.sweep_value)}: "
               f"e_cp={p.e_cp_sim:.4g} (theory {p.theory.e_cp:.4g}), "
               f"e_lp={p.e_lp_sim:.4g} (theory {p.theory.e_lp:.4g}), "
               f"failures={p.num_failures}/{p.num_trials}")
@@ -334,8 +390,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        spec, ceiling = build_spec(load_run_config(args.config), args)
-        return args.func(spec, ceiling, args)
+        spec, ceiling, sweep = build_spec(load_run_config(args.config), args)
+        # sweep runs the points of the sweep; cdf and spectrum run the spec.
+        return args.func(sweep if args.command == "sweep" else spec, ceiling, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ __all__ = [
     "match_angles",
     "draw_realization",
     "snr_cdfs",
-    "POWER_AXES",
 ]
 
 # Stream tags keep the per-block angle stream and the per-trial stream
@@ -60,43 +59,15 @@ __all__ = [
 _ANGLE_STREAM = 1
 _TRIAL_STREAM = 2
 
-# Sweep axes: the spec field each one sets and its default points. Points
-# on the power axes are transmit SNRs (defaults in dB) and report in dB;
-# points on the other axes are integer counts.
-_AXES = {
-    "m": ("num_antennas", (8, 16, 32, 64)),
-    "pt": ("pilot_pow", (-20.0, -15.0, -10.0, -5.0, 0.0)),
-    "pd": ("data_pow", (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0, 5.0)),
-    "rho": ("pilot_len", (1, 2, 3, 4, 6, 8)),
-}
-POWER_AXES = ("pt", "pd")
-
 # Finest accepted scan step, 178 001 grid points. A much finer step asks
 # numpy for more memory than a machine has (1.3 TiB at 1e-9 deg); the
 # finest shipped step is 0.02 deg.
 _MIN_GRID_STEP_DEG = 0.001
 
 
-# The one dB conversion pair of the package, shared with the CLI. Private so
-# that it stays out of __all__: the benchmark's tracer wraps every __all__
-# function, and a cdf run calls _to_db for every CSV row.
-def _from_db(db: float) -> float:
-    return float(10.0 ** (db / 10.0))
-
-
-def _to_db(value: float) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(10.0 * np.log10(value))
-
-
-def _power_from_snr(snr: float, noise_var: float) -> float:
-    """Absolute power of a transmit SNR; with zero noise the SNR is the power."""
-    return snr * noise_var if noise_var > 0 else snr
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of one Monte Carlo experiment.
+    """One operating point of a Monte Carlo experiment; a sweep is a list of them.
 
     The defaults are the reference operating point used throughout:
     M = 32 antennas, L = 3 paths, pilot_len 3, transmit SNRs of -10 dB in
@@ -123,9 +94,6 @@ class ExperimentSpec:
     grid_step_deg: float = 0.5
     num_subarrays: Optional[int] = None
     angle_hold_trials: int = 1
-    sweep_axis: Optional[str] = None
-    sweep_values: Optional[Tuple[float, ...]] = None
-    pt_tracks_pd: bool = True
 
     # Built and checked once per spec and shared by its trials.
     geometry: UlaGeometry = dataclasses.field(init=False, repr=False, compare=False)
@@ -157,18 +125,6 @@ class ExperimentSpec:
         if not _MIN_GRID_STEP_DEG <= self.grid_step_deg < np.inf:
             raise SpecError("grid_step_deg", f"grid_step_deg must be finite and >= "
                                              f"{_MIN_GRID_STEP_DEG}, got {self.grid_step_deg}")
-        if self.sweep_axis is not None and self.sweep_axis not in _AXES:
-            raise SpecError("sweep_axis", f"unknown sweep axis {self.sweep_axis!r}; "
-                                          f"valid axes: {', '.join(_AXES)}")
-        if self.sweep_values is not None:
-            values = tuple(float(v) for v in self.sweep_values)
-            if not values:
-                raise SpecError("sweep_values", "sweep_values must be nonempty when given")
-            if self.sweep_axis not in (None, *POWER_AXES) and not all(
-                    v.is_integer() for v in values):
-                raise SpecError("sweep_axis sweep_values",
-                                f"sweep_values on the {self.sweep_axis!r} axis must be integers")
-            object.__setattr__(self, "sweep_values", values)
         if self.base_seed < 0:
             raise SpecError("base_seed", "base_seed must be nonnegative")
         with blame("num_antennas"):
@@ -401,35 +357,6 @@ def _summarize(spec: ExperimentSpec, trials: Sequence[TrialResult],
     )
 
 
-def _apply_axis(spec: ExperimentSpec, axis: str, value: float
-                ) -> Tuple[ExperimentSpec, float]:
-    """The spec at one sweep point and the value its CSV row reports."""
-    field = _AXES[axis][0]
-    if axis not in POWER_AXES:
-        return dataclasses.replace(spec, **{field: int(value)}), float(value)
-    power = _power_from_snr(value, spec.noise_var)
-    changes = {field: power}
-    if axis == "pd" and spec.pt_tracks_pd:
-        changes["pilot_pow"] = power
-    return dataclasses.replace(spec, **changes), _to_db(value)
-
-
-def default_sweep_values(axis: str) -> Tuple[float, ...]:
-    """Default sweep grid per axis (transmit SNRs, linear, for pt/pd)."""
-    convert = _from_db if axis in POWER_AXES else float
-    return tuple(convert(v) for v in _AXES[axis][1])
-
-
-def run_sweep(spec: ExperimentSpec) -> Tuple[SweepPoint, ...]:
-    """Aggregate trials at every sweep value of the spec's axis, in order.
-
-    Power axes report ``sweep_value`` in dB relative to the noise variance;
-    count axes report the raw value.
-    """
-    axis = spec.sweep_axis
-    if axis is None:
-        raise ValueError(f"spec has no sweep axis; valid axes: {', '.join(_AXES)}")
-    # Every point's spec first: a bad point fails before any trial runs.
-    subs = [_apply_axis(spec, axis, value)
-            for value in spec.sweep_values or default_sweep_values(axis)]
-    return tuple(_summarize(sub, collect_trials(sub), display) for sub, display in subs)
+def run_sweep(points: Sequence[Tuple[float, ExperimentSpec]]) -> Tuple[SweepPoint, ...]:
+    """Aggregate the trials of every ``(sweep_value, spec)`` point, in order."""
+    return tuple(_summarize(spec, collect_trials(spec), value) for value, spec in points)

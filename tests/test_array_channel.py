@@ -47,6 +47,16 @@ class TestSteeringVector:
         near = _steer(geom, np.pi / 2 - 1e-9)
         np.testing.assert_allclose(near, [1.0, -1.0], atol=1e-6)
 
+    @pytest.mark.parametrize("angles, first", [
+        ([0.1, 2.0, -3.0], "2.0"), ([0.1, np.nan], "nan"), ([-np.pi / 2, 0.0], "-1.5707963")])
+    def test_first_angle_outside_is_named(self, angles, first):
+        # One array check for the whole list; NaN fails it like an angle outside.
+        message = rf"angle {first}\S* rad outside the open interval"
+        with pytest.raises(ValueError, match=message):
+            steering_matrix(UlaGeometry(2), angles)
+        with pytest.raises(ValueError, match=message):
+            PathSet(angles=angles, gains=np.ones(len(angles)))
+
     @given(m=st.integers(min_value=1, max_value=64), theta=angles_inside)
     def test_unit_modulus_and_norm(self, m, theta):
         vec = _steer(UlaGeometry(m), theta)
@@ -254,6 +264,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TransmissionConfig(pilot_len=1, data_len=1, pilot_power=1, data_power=1,
                                noise_var=-0.1)
+
+    @pytest.mark.parametrize("field, message", [
+        ("pilot_power", "powers must be positive"), ("data_power", "powers must be positive"),
+        ("noise_var", "noise_var must be nonnegative")])
+    def test_rejects_nan_power_and_noise(self, field, message):
+        values = dict(pilot_len=1, data_len=1, pilot_power=1.0, data_power=1.0, noise_var=1.0)
+        with pytest.raises(ValueError, match=message):
+            TransmissionConfig(**{**values, field: float("nan")})
+
+    def test_angle_policy_rejects_nan_separation(self):
+        with pytest.raises(ValueError, match="min_sin_sep must be nonnegative"):
+            AnglePolicy(min_sin_sep=float("nan"))
 
     def test_geometry_rejects_nonpositive(self):
         with pytest.raises(ValueError):

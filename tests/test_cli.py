@@ -15,7 +15,7 @@ from issacsim.cli import (
     load_run_config,
     main,
 )
-from issacsim.simharness import ExperimentSpec, run_sweep
+from issacsim.simharness import run_sweep
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -76,7 +76,8 @@ class TestConfigParsing:
             min_sep_deg = 6
             gain_policy = unit
         """)
-        spec, ceiling = build_spec(load_run_config(cfg_path))
+        spec, ceiling, sweep = build_spec(load_run_config(cfg_path))
+        assert sweep == (None, ())
         assert spec.num_antennas == 16
         assert spec.num_paths == 2
         assert spec.pilot_len == 4
@@ -92,7 +93,7 @@ class TestConfigParsing:
 
     def test_fixed_angles_config(self, tmp_path):
         cfg_path = _write(tmp_path, "run.cfg", "l = 3\nangles_deg = -30, 0, 30\n")
-        spec, _ = build_spec(load_run_config(cfg_path))
+        spec = build_spec(load_run_config(cfg_path))[0]
         np.testing.assert_allclose(np.rad2deg(spec.angle_policy.fixed),
                                    [-30.0, 0.0, 30.0], atol=1e-12)
 
@@ -127,15 +128,31 @@ class TestConfigParsing:
             load_run_config(cfg_path)
 
     def test_sweep_values_power_axis_db_entries(self, tmp_path):
+        # Transmit SNRs scaled by sigma2 into powers; rows report them in dB.
         cfg_path = _write(tmp_path, "run.cfg",
-                          "axis = pt\nsweep_values = -20 dB, -10 dB, 0 dB\n")
-        spec, _ = build_spec(load_run_config(cfg_path))
-        np.testing.assert_allclose(spec.sweep_values, [0.01, 0.1, 1.0], rtol=1e-12)
+                          "axis = pt\nsigma2 = 2\nsweep_values = -20 dB, -10 dB, 0 dB\n")
+        spec, _, (axis, points) = build_spec(load_run_config(cfg_path))
+        assert axis == "pt"
+        np.testing.assert_allclose([p.pilot_pow for _, p in points], [0.02, 0.2, 2.0],
+                                   rtol=1e-12)
+        np.testing.assert_allclose([value for value, _ in points], [-20.0, -10.0, 0.0],
+                                   atol=1e-12)
+        assert all(p.data_pow == spec.data_pow for _, p in points)
 
     def test_sweep_values_count_axis(self, tmp_path):
         cfg_path = _write(tmp_path, "run.cfg", "axis = m\nsweep_values = 8, 16\n")
-        spec, _ = build_spec(load_run_config(cfg_path))
-        assert spec.sweep_values == (8.0, 16.0)
+        _, _, (_, points) = build_spec(load_run_config(cfg_path))
+        assert [value for value, _ in points] == [8.0, 16.0]
+        assert [p.num_antennas for _, p in points] == [8, 16]
+
+    def test_sweep_values_without_axis_rejected_in_cdf(self, tmp_path, capsys):
+        # As in a sweep (sweep_values_without_axis above), though cdf sweeps nothing.
+        cfg_path = _write(tmp_path, "run.cfg", "sweep_values = 8, 16\n")
+        out = tmp_path / "x.csv"
+        assert main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep_values given with no sweep axis; set axis to one of m, pt, pd, rho\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
     def test_failure_ceiling_out_of_range_exits_2(self, tmp_path, capsys, value):
@@ -199,9 +216,16 @@ class TestConfigParsing:
          "error: sweep_values = ',': sweep_values must be nonempty"),
         # The bad point comes last: every point is checked before any trial.
         ("axis = rho\nsweep_values = 3, 0\ntrials = 1000\n", [],
-         "error: gain estimation needs pilot_len >= 1"),
+         "error: sweep_values = '3, 0': gain estimation needs pilot_len >= 1"),
         ("axis = m\nsweep_values = 32, 4\nl = 3\n", [],
-         "error: subarrays too small"),
+         "error: sweep_values = '32, 4', l = '3': subarrays too small"),
+        # A default point is named by the axis; m = 8 is too small for l = 5.
+        ("l = 5\n", ["--axis", "m"], "error: --axis m, l = '5': subarrays too small"),
+        ("axis = m\nl = 5\n", [], "error: axis = 'm', l = '5': subarrays too small"),
+        # On the pd axis the pilot power tracks the point, so a bad point is
+        # named by the sweep, not by the pt key it overrides.
+        ("axis = pd\npt = -10 dB\nsweep_values = 0 dB, -1\n", [],
+         "error: sweep_values = '0 dB, -1': powers must be positive"),
         ("rho = 0\n", [], "error: rho = '0': gain estimation needs pilot_len >= 1"),
         ("trials = 0\n", [], "error: trials = '0': num_trials must be >= 1"),
         ("trials = 5\n", ["--trials", "0"], "error: --trials 0: num_trials must be >= 1"),
@@ -223,12 +247,22 @@ class TestConfigParsing:
         ("angle_low_deg = -10\nangle_high_deg = 10\nmin_sep_deg = 11\n", [],
          "error: angle_low_deg = '-10', angle_high_deg = '10', min_sep_deg = '11': "
          "3 angles with sine separation >= 0.1908 do not fit"),
+        # NaN (also the sine of inf) slips past every comparison with the
+        # sine range, and the sine of 180 degrees folds back to 1.2e-16.
+        ("min_sep_deg = nan\n", [],
+         "error: min_sep_deg = 'nan': min_sep_deg must lie in [0, 90] degrees"),
+        ("min_sep_deg = inf\n", [],
+         "error: min_sep_deg = 'inf': min_sep_deg must lie in [0, 90] degrees"),
+        ("min_sep_deg = 180\n", [],
+         "error: min_sep_deg = '180': min_sep_deg must lie in [0, 90] degrees"),
     ], ids=["mode", "angle_stage", "angle_hold_trials", "base_seed", "empty_sweep_values",
-            "zero_pilots_sweep_point", "small_array_sweep_point", "zero_pilots",
+            "zero_pilots_sweep_point", "small_array_sweep_point", "small_array_default_point",
+            "small_array_default_point_from_config", "tracked_pilot_sweep_point", "zero_pilots",
             "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
             "zero_data_len", "small_array", "unknown_gain_policy", "fixed_angle_count",
             "fixed_angle_count_beside_range", "infeasible_min_sep",
-            "infeasible_min_sep_in_range"])
+            "infeasible_min_sep_in_range", "nan_min_sep", "infinite_min_sep",
+            "folded_min_sep"])
     def test_bad_spec_value_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                      text, flags, message):
         # Each spec value is checked once, when the spec is built, and its
@@ -250,8 +284,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text", ["false", "no", "off", "0"])
     def test_pt_tracks_pd_false_spellings(self, tmp_path, text):
-        cfg_path = _write(tmp_path, "run.cfg", f"pt_tracks_pd = {text}\n")
-        assert build_spec(load_run_config(cfg_path))[0].pt_tracks_pd is False
+        cfg_path = _write(tmp_path, "run.cfg", f"axis = pd\npt_tracks_pd = {text}\n")
+        spec, _, (_, points) = build_spec(load_run_config(cfg_path))
+        assert all(p.pilot_pow == spec.pilot_pow for _, p in points)
+        assert [p.data_pow for _, p in points] != [spec.data_pow] * len(points)
 
 
 class TestSweepCommand:
@@ -263,9 +299,9 @@ class TestSweepCommand:
         header, rows = _read_csv(out)
         assert tuple(header) == SWEEP_CSV_HEADER
         assert len(rows) == 4
-        spec = ExperimentSpec(sweep_axis="m", num_trials=25, base_seed=5,
-                              angle_stage="oracle")
-        for row, point in zip(rows, run_sweep(spec)):
+        _, _, (_, points) = build_spec(
+            {"axis": "m", "trials": "25", "seed": "5", "angle_stage": "oracle"})
+        for row, point in zip(rows, run_sweep(points)):
             parsed = [float(cell) for cell in row]
             assert parsed[0] == pytest.approx(point.sweep_value, rel=1e-11)
             assert parsed[1] == pytest.approx(point.e_cp_sim, rel=1e-11)

@@ -59,6 +59,16 @@ sweep_values = 1, 2, 4
 seed = 23
 """
 
+# Default-point pd sweep with sigma2 != 1: the default points go from dB to
+# transmit SNRs, are scaled by the noise variance into powers that pilot
+# power tracks, and report back in dB.
+PD_DEFAULT_SWEEP_CFG = """
+m = 16
+sigma2 = 2
+angle_stage = oracle
+seed = 29
+"""
+
 # (subcommand, shipped config name or inline config text, extra flags, digest)
 CASES = {
     "sweep_oracle_pt": ("sweep", "nrmse_vs_pt.cfg", ["--trials", "20"],
@@ -77,6 +87,9 @@ CASES = {
                                     "cf672ce5e896005443ab1b843cad9b33df7a2ce841b463a41d3225adc2ec7428"),
     "sweep_oracle_rho": ("sweep", RHO_SWEEP_CFG, ["--trials", "20"],
                          "b1f760e19d38d738f61e0fa555ff7ab7cea463c360283eb4b6256f39f76ca421"),
+    "sweep_oracle_pd_default_points": ("sweep", PD_DEFAULT_SWEEP_CFG,
+                                       ["--axis", "pd", "--trials", "10"],
+                                       "a999d2e05a7fdb1881d7a0d2058b1ba782e384a9b04004b19883c2426069582a"),
 }
 
 

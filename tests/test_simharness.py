@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import issacsim.simharness as harness
 from issacsim.array_channel import AnglePolicy
+from issacsim.cli import build_spec, main
 from issacsim.errors import EstimationError, SpecError
 from issacsim.estimators import ls_conventional, mrc_beamformer, empirical_snr
 from issacsim.simharness import (
     ExperimentSpec,
     collect_trials,
-    default_sweep_values,
     draw_realization,
     empirical_cdf,
     match_angles,
@@ -24,6 +24,11 @@ from issacsim.simharness import (
 )
 
 FIXED_ANGLES = AnglePolicy(fixed=tuple(np.deg2rad([-30.0, 0.0, 30.0])))
+
+
+def _sweep(**cfg):
+    """The (sweep_value, spec) points the CLI builds from config keys."""
+    return build_spec({key: str(value) for key, value in cfg.items()})[2][1]
 
 
 class TestSpecValidation:
@@ -46,7 +51,7 @@ class TestSpecValidation:
 
     def test_bad_axis_rejected_with_valid_names(self):
         with pytest.raises(ValueError, match="m, pt, pd, rho"):
-            ExperimentSpec(sweep_axis="banana")
+            _sweep(axis="banana")
 
     def test_pilotless_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -85,7 +90,7 @@ class TestSpecValidation:
         assert draw_realization(spec, 0)[2].pilot_seq is spec.pilot_seq
 
     def test_sweep_point_gets_its_own_trial_objects(self):
-        # run_sweep builds each point with dataclasses.replace, which must
+        # The CLI builds each sweep point with dataclasses.replace, which must
         # rebuild what the point changes instead of sharing the base spec's.
         spec = ExperimentSpec()
         point = dataclasses.replace(spec, pilot_len=5, num_antennas=16, grid_step_deg=1.0)
@@ -168,9 +173,8 @@ class TestFailureAccounting:
             return real_scan(*args, **kwargs)
 
         monkeypatch.setattr(harness, "scan_angles", flaky_scan)
-        spec = ExperimentSpec(angle_policy=FIXED_ANGLES, num_trials=9, base_seed=2,
-                              sweep_axis="m", sweep_values=(32,))
-        (point,) = run_sweep(spec)
+        spec = ExperimentSpec(angle_policy=FIXED_ANGLES, num_trials=9, base_seed=2)
+        (point,) = run_sweep([(32.0, spec)])
         assert point.num_failures == 3
         assert point.failure_rate == pytest.approx(3.0 / 9.0)
         assert np.isfinite(point.e_lp_sim)
@@ -255,19 +259,16 @@ class TestEmpiricalCdf:
 
 class TestSweeps:
     def test_antenna_sweep_theory_columns(self):
-        spec = ExperimentSpec(sweep_axis="m", sweep_values=(8, 16, 32, 64),
-                              num_trials=2, angle_stage="oracle", base_seed=1)
-        points = run_sweep(spec)
+        points = run_sweep(_sweep(axis="m", sweep_values="8, 16, 32, 64",
+                                  trials=2, angle_stage="oracle", seed=1))
         e_cp = [p.theory.e_cp for p in points]
         e_lp = [p.theory.e_lp for p in points]
         np.testing.assert_allclose(e_cp, [m / 0.3 for m in (8, 16, 32, 64)], rtol=1e-12)
         np.testing.assert_allclose(e_lp, 10.0, rtol=1e-12)
 
     def test_pilot_power_sweep_inverse_slope(self):
-        values = tuple(10 ** (d / 10.0) for d in (-20.0, -10.0, 0.0))
-        spec = ExperimentSpec(sweep_axis="pt", sweep_values=values,
-                              num_trials=2, angle_stage="oracle", base_seed=1)
-        points = run_sweep(spec)
+        points = run_sweep(_sweep(axis="pt", sweep_values="0.01, 0.1, 1",
+                                  trials=2, angle_stage="oracle", seed=1))
         for point, ratio in zip(points, (10.0, 1.0, 0.1)):
             assert point.theory.e_cp == pytest.approx(320.0 / 3.0 * ratio, rel=1e-12)
             assert point.theory.e_lp == pytest.approx(10.0 * ratio, rel=1e-12)
@@ -275,41 +276,37 @@ class TestSweeps:
                                    [-20.0, -10.0, 0.0], atol=1e-12)
 
     def test_joint_power_sweep_tracks_pilot(self):
-        spec = ExperimentSpec(sweep_axis="pd", sweep_values=(0.01,),
-                              num_trials=2, angle_stage="oracle", base_seed=1)
-        (point,) = run_sweep(spec)
+        (point,) = run_sweep(_sweep(axis="pd", sweep_values="0.01",
+                                    trials=2, angle_stage="oracle", seed=1))
         assert point.theory.e_cp == pytest.approx(32.0 / 0.03, rel=1e-12)
 
     def test_independent_pilot_power_flag(self):
-        spec = ExperimentSpec(sweep_axis="pd", sweep_values=(0.01,),
-                              pt_tracks_pd=False, num_trials=2,
-                              angle_stage="oracle", base_seed=1)
-        (point,) = run_sweep(spec)
+        (point,) = run_sweep(_sweep(axis="pd", sweep_values="0.01", pt_tracks_pd="false",
+                                    trials=2, angle_stage="oracle", seed=1))
         # pilot power stays at the preset 0.1
         assert point.theory.e_cp == pytest.approx(320.0 / 3.0, rel=1e-12)
 
     def test_default_sweep_coverage(self):
-        assert default_sweep_values("m") == (8.0, 16.0, 32.0, 64.0)
-        pt_db = [10 * np.log10(v) for v in default_sweep_values("pt")]
+        assert [value for value, _ in _sweep(axis="m")] == [8.0, 16.0, 32.0, 64.0]
+        pt_db = [10 * np.log10(spec.pilot_pow) for _, spec in _sweep(axis="pt")]
         assert min(pt_db) == pytest.approx(-20.0) and max(pt_db) == pytest.approx(0.0)
-        pd_db = [10 * np.log10(v) for v in default_sweep_values("pd")]
+        pd_db = [10 * np.log10(spec.data_pow) for _, spec in _sweep(axis="pd")]
         assert min(pd_db) == pytest.approx(-30.0) and max(pd_db) == pytest.approx(5.0)
 
     def test_fractional_count_sweep_rejected(self):
         for axis in ("m", "rho"):
             with pytest.raises(ValueError, match="must be integers"):
-                ExperimentSpec(sweep_axis=axis, sweep_values=(16.7,))
-        assert ExperimentSpec(sweep_axis="pt", sweep_values=(0.5,)).sweep_values == (0.5,)
-        assert ExperimentSpec(sweep_values=(0.5,)).sweep_values == (0.5,)
+                _sweep(axis=axis, sweep_values=16.7)
+        assert [spec.pilot_pow for _, spec in _sweep(axis="pt", sweep_values=0.5)] == [0.5]
+        assert [spec.data_pow for _, spec in _sweep(axis="pd", sweep_values=0.5)] == [0.5]
 
-    def test_missing_axis_rejected(self):
-        with pytest.raises(ValueError, match="m, pt, pd, rho"):
-            run_sweep(ExperimentSpec())
+    def test_missing_axis_rejected(self, tmp_path, capsys):
+        assert main(["sweep", "--out", str(tmp_path / "x.csv"), "--trials", "1"]) == 2
+        assert "m, pt, pd, rho" in capsys.readouterr().err
 
     def test_point_aggregates_expected_fields(self):
-        spec = ExperimentSpec(num_trials=40, angle_stage="oracle", base_seed=12,
-                              sweep_axis="m", sweep_values=(32,))
-        (point,) = run_sweep(spec)
+        spec = ExperimentSpec(num_trials=40, angle_stage="oracle", base_seed=12)
+        (point,) = run_sweep([(32.0, spec)])
         assert point.sweep_value == 32.0
         assert point.num_trials == 40
         assert point.num_failures == 0
@@ -319,7 +316,6 @@ class TestSweeps:
 
     def test_mean_snr_above_matched_filter_bound_raises(self, monkeypatch):
         monkeypatch.setattr(harness, "empirical_snr", lambda *args: 1e12)
-        spec = ExperimentSpec(num_trials=3, angle_stage="oracle", base_seed=12,
-                              sweep_axis="m", sweep_values=(32,))
+        spec = ExperimentSpec(num_trials=3, angle_stage="oracle", base_seed=12)
         with pytest.raises(ValueError, match="matched-filter bound"):
-            run_sweep(spec)
+            run_sweep([(32.0, spec)])
