@@ -17,7 +17,6 @@ Angles are degrees in config files and CSV output, radians internally.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -194,12 +193,14 @@ def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
 
 
 def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
-               ) -> Tuple[ExperimentSpec, float, Sweep]:
+               ) -> Tuple[Optional[ExperimentSpec], float, Sweep]:
     """ExperimentSpec from a parsed config plus CLI overrides.
 
     Returns the spec, the failure-rate ceiling for the exit status, and the
     sweep: its axis (None when unset) and the ``(sweep_value, spec)`` pair of
-    each point. Every spec is built, and so checked, before it returns.
+    each point. Every spec is built, and so checked, before it returns. The
+    ``sweep`` command of a config with points runs only the points, so its
+    spec is None and the base value of the swept key is not checked.
     """
     kwargs: Dict[str, object] = {
         field: _parse_key(cfg, key, parse)
@@ -212,6 +213,9 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
             kwargs[field], sources[key] = flags[key], f"--{key} {flags[key]}"
     if flags.get("oracle_angles"):
         kwargs["angle_stage"], sources["angle_stage"] = "oracle", "--oracle-angles"
+    if flags.get("command") == "spectrum" and kwargs.get("angle_stage") == "oracle":
+        raise ValueError(f"{sources['angle_stage']}: spectrum scans the angles, so it "
+                         f"takes no oracle angle stage")
 
     if "subarrays" in cfg:
         count = _parse_key(cfg, "subarrays", int)
@@ -247,10 +251,11 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
         raise ValueError(f"max_failure_rate must lie in [0, 1], got {ceiling}")
     try:
         kwargs["angle_policy"] = _angle_policy_from(cfg)
-        spec = ExperimentSpec(**kwargs)
+        # A sweep runs only its points, which override the swept keys.
+        spec = None if flags.get("command") == "sweep" and values else ExperimentSpec(**kwargs)
         sources = point_sources  # from here on, errors are those of the points
         power = axis in _POWER_AXES
-        points = tuple((_to_db(v) if power else v, dataclasses.replace(spec, **{
+        points = tuple((_to_db(v) if power else v, ExperimentSpec(**kwargs | {
             _KEY_FIELDS[key]: _power_from_snr(v, noise_var) if power else int(v) for key in keys}))
             for v in values)
     except SpecError as exc:
@@ -335,7 +340,7 @@ def _cmd_cdf(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> 
 def _cmd_spectrum(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
     _, _, block = draw_realization(spec, 0)
     grid = spec.angle_grid
-    peaks = scan_angles(block, spec.num_paths, grid, spec.multipath, spec.num_subarrays)
+    peaks = scan_angles(block, spec.num_paths, grid, spec.plan)
     # In LoS mode scan_angles has already scanned the Bartlett spectrum.
     bartlett = (bartlett_spectrum(sample_covariance(block), grid) if spec.multipath
                 else peaks.spectrum)

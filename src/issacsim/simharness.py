@@ -9,7 +9,6 @@ therefore independent of execution order.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +73,7 @@ class ExperimentSpec:
     both phases, unit noise variance, and 100 snapshots per block.
     ``pilot_pow``/``data_pow`` are absolute linear powers; with the default
     ``noise_var`` = 1 they equal the transmit SNRs. Construction checks
-    every value, the angle prior and the subarray plan, so bad values fail
+    every value, the angle prior and the angle stage, so bad values fail
     before a trial, with a SpecError naming the fields at fault.
     """
 
@@ -99,6 +98,10 @@ class ExperimentSpec:
     geometry: UlaGeometry = dataclasses.field(init=False, repr=False, compare=False)
     transmission: TransmissionConfig = dataclasses.field(init=False, repr=False, compare=False)
     pilot_seq: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    # The angle stage: the scan grid, and the subarray plan of smoothed MUSIC
+    # (None: a Bartlett scan for LoS, no scan with oracle angles).
+    angle_grid: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    plan: Optional[SubarrayPlan] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("los", "multipath"):
@@ -136,18 +139,22 @@ class ExperimentSpec:
         object.__setattr__(self, "pilot_seq", generate_pilot_sequence(self.transmission.pilot_len))
         self.pilot_seq.setflags(write=False)
         self.angle_policy.check_paths(self.num_paths)
-        if self.multipath and self.angle_stage == "estimated":
-            with blame("num_antennas num_paths num_subarrays"):
-                SubarrayPlan.for_sources(self.num_antennas, self.num_paths, self.num_subarrays)
+        object.__setattr__(self, "angle_grid", make_angle_grid(self.grid_step_deg))
+        plan = None
+        if self.angle_stage == "estimated":
+            if self.angle_grid.size < 2 * self.num_paths + 1:
+                raise SpecError("grid_step_deg num_paths",
+                                f"a grid of {self.angle_grid.size} points is too small for "
+                                f"{self.num_paths} peaks; need {2 * self.num_paths + 1}")
+            if self.multipath:
+                with blame("num_antennas num_paths num_subarrays"):
+                    plan = SubarrayPlan.for_sources(
+                        self.num_antennas, self.num_paths, self.num_subarrays)
+        object.__setattr__(self, "plan", plan)
 
     @property
     def multipath(self) -> bool:
         return self.mode == "multipath"
-
-    @functools.cached_property
-    def angle_grid(self) -> np.ndarray:
-        """The scan grid, built once per spec and shared by its trials."""
-        return make_angle_grid(self.grid_step_deg)
 
     def theory(self) -> ClosedFormPredictions:
         return closed_form_predictions(
@@ -220,8 +227,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         if spec.angle_stage == "oracle":
             thetas_hat = paths.angles
         else:
-            thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid,
-                                     spec.multipath, spec.num_subarrays).angles
+            thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid, spec.plan).angles
             angle_errors = match_angles(thetas_hat, paths.angles)
         _, h_lp = estimate_gains_multipath(h_cp, thetas_hat)
         sq_error_lp = float(np.linalg.norm(h_lp - h) ** 2)

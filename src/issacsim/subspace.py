@@ -358,20 +358,17 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
 
 
 def scan_angles(block: ReceivedBlock, num_sources: int, grid: np.ndarray,
-                multipath: bool, num_subarrays: Optional[int]) -> AngleEstimates:
+                plan: Optional[SubarrayPlan]) -> AngleEstimates:
     """Full pilot-free angle stage on one received block.
 
-    Single-path mode scans the Bartlett spectrum of the plain snapshot
-    covariance; multipath mode smooths the covariances of the subarray plan
-    ``SubarrayPlan.for_sources`` picks for ``num_subarrays`` (None: its
-    default count) and runs MUSIC.
+    With no plan it scans the Bartlett spectrum of the plain snapshot
+    covariance (the single-path channel); with a plan it smooths the plan's
+    subarray covariances and runs MUSIC (coherent multipath).
     The returned estimates carry the scanned spectrum.
     """
-    if multipath:
-        plan = SubarrayPlan.for_sources(block.num_antennas, num_sources, num_subarrays)
-        covs = subarray_covariances(block, plan)
-        smoothed = forward_backward_smooth(covs)
-        spectrum = music_spectrum(smoothed, num_sources, grid)
-    else:
+    if plan is None:
         spectrum = bartlett_spectrum(sample_covariance(block), grid)
+    else:
+        smoothed = forward_backward_smooth(subarray_covariances(block, plan))
+        spectrum = music_spectrum(smoothed, num_sources, grid)
     return find_peaks(spectrum, num_sources)

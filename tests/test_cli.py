@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import issacsim.cli as cli
 import issacsim.simharness as harness
 from issacsim.cli import (
     SWEEP_CSV_HEADER,
@@ -233,6 +234,9 @@ class TestConfigParsing:
         ("pd = 0\n", [], "error: pd = '0': powers must be positive"),
         ("kappa = 0\n", [], "error: kappa = '0': data_len must be a positive integer"),
         ("m = 4\nl = 3\n", [], "error: m = '4', l = '3': subarrays too small"),
+        # Found when the spec is built, not at the first trial's peak search.
+        ("l = 3\ngrid_step_deg = 60\n", [],
+         "error: l = '3', grid_step_deg = '60': a grid of 4 points is too small for 3 peaks"),
         # Found before the first trial's draw, which used to find them.
         ("gain_policy = foo\n", [],
          "error: gain_policy = 'foo': unknown gain policy 'foo'; use one of gaussian, unit"),
@@ -259,7 +263,8 @@ class TestConfigParsing:
             "zero_pilots_sweep_point", "small_array_sweep_point", "small_array_default_point",
             "small_array_default_point_from_config", "tracked_pilot_sweep_point", "zero_pilots",
             "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
-            "zero_data_len", "small_array", "unknown_gain_policy", "fixed_angle_count",
+            "zero_data_len", "small_array", "coarse_grid", "unknown_gain_policy",
+            "fixed_angle_count",
             "fixed_angle_count_beside_range", "infeasible_min_sep",
             "infeasible_min_sep_in_range", "nan_min_sep", "infinite_min_sep",
             "folded_min_sep"])
@@ -388,6 +393,27 @@ class TestSweepCommand:
             assert "integers" in err
 
 
+    def test_swept_key_base_value_blocks_only_the_base_point(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # m = 4 cannot smooth 3 paths, but every point of an m sweep sets m.
+        cfg_path = _write(tmp_path, "run.cfg", "m = 4\nl = 3\naxis = m\nmax_failure_rate = 1\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--trials", "1"]) == 0
+        _, rows = _read_csv(out)
+        assert [float(row[0]) for row in rows] == [8.0, 16.0, 32.0, 64.0]
+        capsys.readouterr()
+        # cdf and spectrum run the base point, so they still reject it.
+        def no_trials(spec, trial_index):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        for command in ("cdf", "spectrum"):
+            assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: m = '4', l = '3': subarrays too small: "
+                "need subarray_size >= num_sources + 1\n")
+
+
 class TestCdfCommand:
     def test_summary_and_series(self, tmp_path):
         out = tmp_path / "cdf.csv"
@@ -506,6 +532,28 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "spectral peaks" in err
+
+    @pytest.mark.parametrize("text, flags, source", [
+        ("", ["--oracle-angles"], "--oracle-angles"),
+        ("angle_stage = oracle\n", [], "angle_stage = 'oracle'"),
+        # Too small to smooth: the oracle stage is named, not the plan.
+        ("m = 4\nl = 3\n", ["--oracle-angles"], "--oracle-angles"),
+    ])
+    def test_oracle_angle_stage_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                        text, flags, source):
+        # spectrum always scans the angles; an oracle stage used to be ignored.
+        def no_draws(spec, trial_index):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(cli, "draw_realization", no_draws)
+        cfg_path = _write(tmp_path, "run.cfg", text)
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", cfg_path, "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {source}: spectrum scans the angles, so it takes "
+                                f"no oracle angle stage\n")
+        assert not out.exists()
 
     def test_missing_config_file_errors(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),

@@ -70,14 +70,16 @@ class TestSpecValidation:
         ({"angle_policy": AnglePolicy(min_sin_sep=0.9)},
          ["num_paths", "angle_range", "min_sep"]),
         ({"num_antennas": 4}, ["num_antennas", "num_paths", "num_subarrays"]),
+        # 4 grid points hold at most one interior local maximum, not 3 peaks
+        ({"grid_step_deg": 60.0}, ["grid_step_deg", "num_paths"]),
     ])
     def test_rejection_names_its_fields(self, changes, fields):
         with pytest.raises(SpecError) as caught:
             ExperimentSpec(**changes)
         assert caught.value.fields == fields
 
-    def test_trial_objects_built_once_and_read_only(self):
-        spec = ExperimentSpec()
+    def test_trial_objects_built_once_and_read_only(self, monkeypatch):
+        spec = ExperimentSpec(num_trials=3)
         assert spec.geometry.num_antennas == 32
         assert spec.transmission.pilot_len == 3
         assert spec.transmission.data_power == spec.data_pow
@@ -88,6 +90,37 @@ class TestSpecValidation:
         np.testing.assert_array_equal(spec.pilot_seq, np.ones(3))
         assert spec.angle_grid is spec.angle_grid
         assert draw_realization(spec, 0)[2].pilot_seq is spec.pilot_seq
+        assert (spec.plan.num_subarrays, spec.plan.subarray_size) == (3, 30)
+        # Every trial scans with the spec's grid and plan.
+        scanned = []
+        real_scan = harness.scan_angles
+
+        def recording_scan(block, num_sources, grid, plan):
+            scanned.append((grid, plan))
+            return real_scan(block, num_sources, grid, plan)
+
+        monkeypatch.setattr(harness, "scan_angles", recording_scan)
+        collect_trials(spec)
+        assert len(scanned) == 3
+        assert all(grid is spec.angle_grid and plan is spec.plan for grid, plan in scanned)
+        # a sweep point builds its own plan
+        point = dataclasses.replace(spec, num_antennas=16)
+        assert point.plan is not spec.plan and point.plan.parent_size == 16
+        assert point.plan.subarray_size == 14
+        # LoS scans Bartlett: no plan
+        assert dataclasses.replace(spec, mode="los", num_paths=1).plan is None
+
+    def test_oracle_spec_needs_no_plan(self):
+        # Too few antennas to smooth 3 coherent paths, but oracle angles
+        # scan nothing, so the spec builds and its trials run.
+        spec = ExperimentSpec(num_antennas=4, num_paths=3, angle_stage="oracle",
+                              num_trials=2, base_seed=6)
+        assert spec.plan is None
+        trials = collect_trials(spec)
+        assert not any(t.failed for t in trials)
+        assert all(np.isfinite(t.sq_error_lp) for t in trials)
+        with pytest.raises(SpecError, match="subarrays too small"):
+            dataclasses.replace(spec, angle_stage="estimated")
 
     def test_sweep_point_gets_its_own_trial_objects(self):
         # The CLI builds each sweep point with dataclasses.replace, which must

@@ -462,7 +462,7 @@ class TestTracedStageContract:
                   "music_spectrum", "hermitian_eigendecomposition", "bartlett_spectrum",
                   "find_peaks")
         calls = self._count_calls(monkeypatch, stages)
-        scan_angles(block, num_paths, spec.angle_grid, spec.multipath, None)
+        scan_angles(block, num_paths, spec.angle_grid, spec.plan)
         assert dict(calls) == expected
 
     def test_bound_argument_names(self):
@@ -473,7 +473,7 @@ class TestTracedStageContract:
         assert names(bartlett_spectrum) == ["cov", "grid"]
         assert names(simulate_reception)[:2] == ["h", "config"]
         assert names(run_trial) == ["spec", "trial_index"]
-        assert names(scan_angles)[2] == "grid"
+        assert names(scan_angles) == ["block", "num_sources", "grid", "plan"]
 
 
 class TestMusicSpectrum:
@@ -715,7 +715,7 @@ class TestPeakSearchMatchesReferenceLoop:
         spec = ExperimentSpec(mode=mode, num_paths=num_paths, base_seed=11)
         for trial in range(4):
             _, _, block = draw_realization(spec, trial)
-            found = scan_angles(block, num_paths, spec.angle_grid, spec.multipath, None)
+            found = scan_angles(block, num_paths, spec.angle_grid, spec.plan)
             grid, values = found.spectrum.grid, found.spectrum.values
             chosen = find_peaks(_sample_spectrum(grid, values), num_paths).angles
             assert _grid_index(grid, chosen) == _reference_peak_indices(values, num_paths)
@@ -747,7 +747,7 @@ class TestConsistency:
                               num_antennas=num_antennas, base_seed=11)
         blocks = [draw_realization(spec, trial)[2] for trial in range(200)]
         # one grid after the other: the scan keeps one grid's rows table
-        coarse, fine = ([scan_angles(block, num_paths, grid, spec.multipath, None).angles
+        coarse, fine = ([scan_angles(block, num_paths, grid, spec.plan).angles
                          for block in blocks]
                         for grid in (spec.angle_grid, make_angle_grid(step_deg=0.02)))
         np.testing.assert_allclose(np.rad2deg(coarse), np.rad2deg(fine), rtol=0, atol=0.01)
