@@ -82,15 +82,6 @@ def _parse_power(text: str) -> float:
     return value
 
 
-def _parse_bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("true", "yes", "1", "on"):
-        return True
-    if val in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean from {text!r}")
-
-
 def _parse_list(text: str) -> List[str]:
     items = [item.strip() for item in text.split(",")]
     return [item for item in items if item]
@@ -120,7 +111,6 @@ _SPEC_KEYS = {
     "trials": ("num_trials", int),
     "seed": ("base_seed", int),
     "angle_stage": ("angle_stage", str.lower),
-    "angle_hold_trials": ("angle_hold_trials", int),
     "grid_step_deg": ("grid_step_deg", float),
 }
 # Every key that sets a spec value, with the ExperimentSpec field (or part
@@ -129,9 +119,8 @@ _SPEC_KEYS = {
 _KEY_FIELDS = {key: field for key, (field, _) in _SPEC_KEYS.items()} | {
     "angles_deg": "angle_list", "angle_low_deg": "angle_range",
     "angle_high_deg": "angle_range", "min_sep_deg": "min_sep",
-    "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var",
-    "subarrays": "num_subarrays"}
-_VALID_KEYS = (*_KEY_FIELDS, "axis", "sweep_values", "pt_tracks_pd", "max_failure_rate")
+    "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var"}
+_VALID_KEYS = (*_KEY_FIELDS, "axis", "sweep_values", "max_failure_rate")
 
 
 def _parse_key(cfg: Dict[str, str], key: str, parse: Callable[[str], Any],
@@ -217,11 +206,6 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
         raise ValueError(f"{sources['angle_stage']}: spectrum scans the angles, so it "
                          f"takes no oracle angle stage")
 
-    if "subarrays" in cfg:
-        count = _parse_key(cfg, "subarrays", int)
-        if count < 0:
-            raise ValueError(f"subarrays must be >= 0 (0 = auto), got {count}")
-        kwargs["num_subarrays"] = count or None
     noise_var = _parse_key(cfg, "sigma2", _parse_power, 1.0)
     kwargs["noise_var"] = noise_var
     if "pt" in cfg:
@@ -229,20 +213,24 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
     if "pd" in cfg:
         kwargs["data_pow"] = _power_from_snr(_parse_key(cfg, "pd", _parse_power), noise_var)
 
-    axis = flags.get("axis") or (cfg["axis"].lower() if "axis" in cfg else None)
-    if axis not in (None, *_AXES):
-        raise ValueError(f"axis = {cfg['axis']!r}: unknown sweep axis {axis!r}; "
+    cfg_axis = cfg["axis"].lower() if "axis" in cfg else None
+    if cfg_axis not in (None, *_AXES):
+        raise ValueError(f"axis = {cfg['axis']!r}: unknown sweep axis {cfg_axis!r}; "
                          f"valid axes: {', '.join(_AXES)}")
+    axis = flags.get("axis") or cfg_axis
     if flags.get("axis"):
         sources["axis"] = f"--axis {axis}"
+        if "sweep_values" in cfg and cfg_axis not in (None, axis):
+            raise ValueError(f"--axis {axis}, axis = {cfg['axis']!r}: sweep_values are points "
+                             f"on the config's axis; drop --axis or set axis and sweep_values")
     if "sweep_values" in cfg and axis is None:
         raise ValueError(f"sweep_values given with no sweep axis; set axis to one "
                          f"of {', '.join(_AXES)}")
     values = _parse_key(cfg, "sweep_values", lambda text: _parse_points(axis, text),
                         _parse_points(axis, _AXES[axis]) if axis else ())
-    tracks = _parse_key(cfg, "pt_tracks_pd", _parse_bool, True)
-    # A point's value stands in for the keys it sets, and leads its errors.
-    keys = ("pd", "pt") if axis == "pd" and tracks else (axis,) if axis else ()
+    # A point's value stands in for the keys it sets, and leads its errors;
+    # a pd point sets the pilot power too.
+    keys = ("pd", "pt") if axis == "pd" else (axis,) if axis else ()
     point_sources = dict.fromkeys(keys, sources.get("sweep_values", sources.get("axis"))) | {
         key: text for key, text in sources.items() if key not in keys}
 

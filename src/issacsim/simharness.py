@@ -53,8 +53,8 @@ __all__ = [
     "snr_cdfs",
 ]
 
-# Stream tags keep the per-block angle stream and the per-trial stream
-# statistically independent.
+# Stream tags keep the angle stream and the gain-and-noise stream of a
+# trial statistically independent.
 _ANGLE_STREAM = 1
 _TRIAL_STREAM = 2
 
@@ -91,8 +91,6 @@ class ExperimentSpec:
     base_seed: int = 0
     angle_stage: str = "estimated"
     grid_step_deg: float = 0.5
-    num_subarrays: Optional[int] = None
-    angle_hold_trials: int = 1
 
     # Built and checked once per spec and shared by its trials.
     geometry: UlaGeometry = dataclasses.field(init=False, repr=False, compare=False)
@@ -123,8 +121,6 @@ class ExperimentSpec:
                 raise SpecError(name, "powers must be positive")
         if not self.noise_var >= 0:
             raise SpecError("noise_var", "noise_var must be nonnegative")
-        if self.angle_hold_trials < 1:
-            raise SpecError("angle_hold_trials", "angle_hold_trials must be >= 1")
         if not _MIN_GRID_STEP_DEG <= self.grid_step_deg < np.inf:
             raise SpecError("grid_step_deg", f"grid_step_deg must be finite and >= "
                                              f"{_MIN_GRID_STEP_DEG}, got {self.grid_step_deg}")
@@ -147,9 +143,8 @@ class ExperimentSpec:
                                 f"a grid of {self.angle_grid.size} points is too small for "
                                 f"{self.num_paths} peaks; need {2 * self.num_paths + 1}")
             if self.multipath:
-                with blame("num_antennas num_paths num_subarrays"):
-                    plan = SubarrayPlan.for_sources(
-                        self.num_antennas, self.num_paths, self.num_subarrays)
+                with blame("num_antennas num_paths"):
+                    plan = SubarrayPlan.for_sources(self.num_antennas, self.num_paths)
         object.__setattr__(self, "plan", plan)
 
     @property
@@ -182,9 +177,8 @@ class TrialResult:
 
 
 def _trial_rngs(spec: ExperimentSpec, trial_index: int):
-    block_index = trial_index // spec.angle_hold_trials
     rng_angles = np.random.default_rng(
-        np.random.SeedSequence((spec.base_seed, _ANGLE_STREAM, block_index)))
+        np.random.SeedSequence((spec.base_seed, _ANGLE_STREAM, trial_index)))
     rng_trial = np.random.default_rng(
         np.random.SeedSequence((spec.base_seed, _TRIAL_STREAM, trial_index)))
     return rng_angles, rng_trial
@@ -194,9 +188,8 @@ def draw_realization(spec: ExperimentSpec, trial_index: int
                      ) -> Tuple[PathSet, np.ndarray, ReceivedBlock]:
     """Channel and received block for one trial, fully seed-determined.
 
-    Angles come from a stream keyed by the trial's angle-hold block, gains
-    and noise from a per-trial stream, so holding angles across a block of
-    trials still redraws the gains.
+    Angles come from one stream, gains and noise from another, both keyed
+    by the trial index.
     """
     rng_angles, rng_trial = _trial_rngs(spec, trial_index)
     angles = sample_angles(spec.num_paths, rng_angles, spec.angle_policy)

@@ -110,19 +110,15 @@ class SubarrayPlan:
             raise ValueError("need subarray_size == parent_size - num_subarrays + 1")
 
     @classmethod
-    def for_sources(cls, parent_size: int, num_sources: int,
-                    num_subarrays: Optional[int] = None) -> "SubarrayPlan":
+    def for_sources(cls, parent_size: int, num_sources: int) -> "SubarrayPlan":
         """Pick a plan whose smoothed covariance is full rank for
         ``num_sources`` coherent paths.
 
-        Defaults to ceil(num_sources / 2) + 1 subarrays, the smallest count
+        Takes ceil(num_sources / 2) + 1 subarrays, the smallest count
         satisfying 2 * P >= L with slack, which keeps subarrays large.
         """
-        if num_subarrays is None:
-            num_subarrays = ceil(num_sources / 2) + 1
+        num_subarrays = ceil(num_sources / 2) + 1
         m_sub = parent_size - num_subarrays + 1
-        if 2 * num_subarrays < num_sources:
-            raise ValueError("need 2 * num_subarrays >= num_sources")
         if m_sub < num_sources + 1:
             raise ValueError("subarrays too small: need subarray_size >= num_sources + 1")
         return cls(num_subarrays=num_subarrays, subarray_size=m_sub,

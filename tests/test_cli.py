@@ -98,10 +98,21 @@ class TestConfigParsing:
         np.testing.assert_allclose(np.rad2deg(spec.angle_policy.fixed),
                                    [-30.0, 0.0, 30.0], atol=1e-12)
 
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg_path = _write(tmp_path, "run.cfg", "antennas = 8\n")
-        with pytest.raises(ValueError, match="unknown key 'antennas'"):
+    # angle_hold_trials, subarrays and pt_tracks_pd were run knobs once;
+    # a config that still sets one fails instead of running without it.
+    @pytest.mark.parametrize("key", ["antennas", "angle_hold_trials", "subarrays",
+                                     "pt_tracks_pd"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
+        cfg_path = _write(tmp_path, "run.cfg", f"{key} = 1\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             load_run_config(cfg_path)
+        code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                     "--trials", "1", "--oracle-angles"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}:1: unknown key '{key}'")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_repeated_key_exits_2_naming_both_lines(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.cfg", "pt = -10 dB\nm = 8\npt = 0 dB\n")
@@ -210,8 +221,6 @@ class TestConfigParsing:
         ("mode = foo\n", [], "error: mode = 'foo': mode must be 'los' or 'multipath'"),
         ("angle_stage = foo\n", [],
          "error: angle_stage = 'foo': angle_stage must be 'estimated' or 'oracle'"),
-        ("angle_hold_trials = 0\n", [],
-         "error: angle_hold_trials = '0': angle_hold_trials must be >= 1"),
         ("seed = -1\n", [], "error: seed = '-1': base_seed must be nonnegative"),
         ("axis = pt\nsweep_values = ,\n", [],
          "error: sweep_values = ',': sweep_values must be nonempty"),
@@ -223,6 +232,12 @@ class TestConfigParsing:
         # A default point is named by the axis; m = 8 is too small for l = 5.
         ("l = 5\n", ["--axis", "m"], "error: --axis m, l = '5': subarrays too small"),
         ("axis = m\nl = 5\n", [], "error: axis = 'm', l = '5': subarrays too small"),
+        # The points of one axis are not read as points of the flag's axis.
+        ("axis = m\nsweep_values = 8, 16\n", ["--axis", "pt"],
+         "error: --axis pt, axis = 'm': sweep_values are points on the config's axis"),
+        # A flag overrides the config's axis, but a bad one is still named.
+        ("axis = banana\n", ["--axis", "m"],
+         "error: axis = 'banana': unknown sweep axis 'banana'; valid axes: m, pt, pd, rho"),
         # On the pd axis the pilot power tracks the point, so a bad point is
         # named by the sweep, not by the pt key it overrides.
         ("axis = pd\npt = -10 dB\nsweep_values = 0 dB, -1\n", [],
@@ -259,9 +274,10 @@ class TestConfigParsing:
          "error: min_sep_deg = 'inf': min_sep_deg must lie in [0, 90] degrees"),
         ("min_sep_deg = 180\n", [],
          "error: min_sep_deg = '180': min_sep_deg must lie in [0, 90] degrees"),
-    ], ids=["mode", "angle_stage", "angle_hold_trials", "base_seed", "empty_sweep_values",
+    ], ids=["mode", "angle_stage", "base_seed", "empty_sweep_values",
             "zero_pilots_sweep_point", "small_array_sweep_point", "small_array_default_point",
-            "small_array_default_point_from_config", "tracked_pilot_sweep_point", "zero_pilots",
+            "small_array_default_point_from_config", "overridden_axis_with_points",
+            "unknown_axis_under_flag", "tracked_pilot_sweep_point", "zero_pilots",
             "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
             "zero_data_len", "small_array", "coarse_grid", "unknown_gain_policy",
             "fixed_angle_count",
@@ -286,13 +302,6 @@ class TestConfigParsing:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(message)
         assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("text", ["false", "no", "off", "0"])
-    def test_pt_tracks_pd_false_spellings(self, tmp_path, text):
-        cfg_path = _write(tmp_path, "run.cfg", f"axis = pd\npt_tracks_pd = {text}\n")
-        spec, _, (_, points) = build_spec(load_run_config(cfg_path))
-        assert all(p.pilot_pow == spec.pilot_pow for _, p in points)
-        assert [p.data_pow for _, p in points] != [spec.data_pow] * len(points)
 
 
 class TestSweepCommand:
@@ -443,18 +452,6 @@ class TestCdfCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "infeasible" in err
-
-    def test_negative_subarrays_exits_2(self, tmp_path, capsys):
-        cfg_path = _write(tmp_path, "run.cfg", "subarrays = -4\n")
-        out = tmp_path / "x.csv"
-        code = main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "2"])
-        assert code == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "subarrays" in err
-        auto = _write(tmp_path, "auto.cfg", "subarrays = 0\n")
-        assert build_spec(load_run_config(auto))[0].num_subarrays is None
 
     def test_zero_noise_rejected_exits_2(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.cfg", "sigma2 = 0\npt = 1\npd = 1\n")
