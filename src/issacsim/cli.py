@@ -187,9 +187,9 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
 
     Returns the spec, the failure-rate ceiling for the exit status, and the
     sweep: its axis (None when unset) and the ``(sweep_value, spec)`` pair of
-    each point. Every spec is built, and so checked, before it returns. The
-    ``sweep`` command of a config with points runs only the points, so its
-    spec is None and the base value of the swept key is not checked.
+    each point. Only the specs the command runs are built, and so checked:
+    ``sweep`` with points gets no spec, so the base value of the swept key
+    is not checked, and ``cdf`` and ``spectrum`` get no points.
     """
     kwargs: Dict[str, object] = {
         field: _parse_key(cfg, key, parse)
@@ -239,13 +239,15 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
         raise ValueError(f"max_failure_rate must lie in [0, 1], got {ceiling}")
     try:
         kwargs["angle_policy"] = _angle_policy_from(cfg)
-        # A sweep runs only its points, which override the swept keys.
-        spec = None if flags.get("command") == "sweep" and values else ExperimentSpec(**kwargs)
+        command = flags.get("command")
+        # sweep runs only its points, which override the swept keys, and cdf
+        # and spectrum only the spec; with no command both are built.
+        spec = None if command == "sweep" and values else ExperimentSpec(**kwargs)
         sources = point_sources  # from here on, errors are those of the points
         power = axis in _POWER_AXES
         points = tuple((_to_db(v) if power else v, ExperimentSpec(**kwargs | {
             _KEY_FIELDS[key]: _power_from_snr(v, noise_var) if power else int(v) for key in keys}))
-            for v in values)
+            for v in (values if command in (None, "sweep") else ()))
     except SpecError as exc:
         named = ", ".join(text for key, text in sources.items()
                           if _KEY_FIELDS.get(key) in exc.fields)
@@ -332,7 +334,7 @@ def _cmd_spectrum(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace
     # In LoS mode scan_angles has already scanned the Bartlett spectrum.
     bartlett = (bartlett_spectrum(sample_covariance(block), grid) if spec.multipath
                 else peaks.spectrum)
-    columns = [np.rad2deg(grid), bartlett.values]
+    columns = [np.rad2deg(grid.angles), bartlett.values]
     header = ["angle_deg", "bartlett"]
     if spec.multipath:
         columns.append(peaks.spectrum.values)
@@ -386,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spec, ceiling, sweep = build_spec(load_run_config(args.config), args)
         # sweep runs the points of the sweep; cdf and spectrum run the spec.
         return args.func(sweep if args.command == "sweep" else spec, ceiling, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

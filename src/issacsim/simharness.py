@@ -36,7 +36,7 @@ from .estimators import (
     ls_conventional,
     mrc_beamformer,
 )
-from .subspace import SubarrayPlan, make_angle_grid, scan_angles
+from .subspace import ScanGrid, SubarrayPlan, make_angle_grid, scan_angles
 
 __all__ = [
     "ExperimentSpec",
@@ -96,9 +96,9 @@ class ExperimentSpec:
     geometry: UlaGeometry = dataclasses.field(init=False, repr=False, compare=False)
     transmission: TransmissionConfig = dataclasses.field(init=False, repr=False, compare=False)
     pilot_seq: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    # The angle stage: the scan grid, and the subarray plan of smoothed MUSIC
-    # (None: a Bartlett scan for LoS, no scan with oracle angles).
-    angle_grid: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    # The angle stage: the scan grid with its tables, and the subarray plan of
+    # smoothed MUSIC (None: a Bartlett scan for LoS); both None for oracle angles.
+    angle_grid: Optional[ScanGrid] = dataclasses.field(init=False, repr=False, compare=False)
     plan: Optional[SubarrayPlan] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -135,16 +135,17 @@ class ExperimentSpec:
         object.__setattr__(self, "pilot_seq", generate_pilot_sequence(self.transmission.pilot_len))
         self.pilot_seq.setflags(write=False)
         self.angle_policy.check_paths(self.num_paths)
-        object.__setattr__(self, "angle_grid", make_angle_grid(self.grid_step_deg))
-        plan = None
+        grid = plan = None
         if self.angle_stage == "estimated":
-            if self.angle_grid.size < 2 * self.num_paths + 1:
+            grid = make_angle_grid(self.grid_step_deg, self.num_antennas - 1)
+            if len(grid) < 2 * self.num_paths + 1:
                 raise SpecError("grid_step_deg num_paths",
-                                f"a grid of {self.angle_grid.size} points is too small for "
+                                f"a grid of {len(grid)} points is too small for "
                                 f"{self.num_paths} peaks; need {2 * self.num_paths + 1}")
             if self.multipath:
                 with blame("num_antennas num_paths"):
                     plan = SubarrayPlan.for_sources(self.num_antennas, self.num_paths)
+        object.__setattr__(self, "angle_grid", grid)
         object.__setattr__(self, "plan", plan)
 
     @property

@@ -8,7 +8,7 @@ and MUSIC on the smoothed matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 from typing import List, Optional, Sequence
 
@@ -20,6 +20,7 @@ from .errors import EstimationError
 __all__ = [
     "SampleCovariance",
     "SubarrayPlan",
+    "ScanGrid",
     "Pseudospectrum",
     "AngleEstimates",
     "make_angle_grid",
@@ -90,8 +91,7 @@ def hermitian_eigendecomposition(cov: SampleCovariance):
     Returns (eigenvalues ascending, eigenvectors as columns); the columns
     are orthonormal and reconstruct the matrix to machine precision.
     """
-    eigvals, eigvecs = np.linalg.eigh(cov.matrix)
-    return eigvals, eigvecs
+    return np.linalg.eigh(cov.matrix)
 
 
 @dataclass(frozen=True)
@@ -160,31 +160,55 @@ def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovarianc
     return SampleCovariance._built(_symmetrize(smoothed), covs[0].num_snapshots)
 
 
-def make_angle_grid(step_deg: float) -> np.ndarray:
-    """Uniform scan grid in radians from -89 to 89 degrees inclusive.
+@dataclass(frozen=True)
+class ScanGrid:
+    """Increasing scan angles (radians) inside (-pi/2, pi/2), copied, with the
+    read-only tables every scan over them reads, for k = 1 .. ``order``:
+    ``rows`` exp(j pi k sin(theta)) over the angles, ``phase`` j pi k and the
+    Newton ``factors`` 2, 2 j pi k, 2 (j pi k)^2. A form of dimension
+    dim <= order + 1 reads the first dim - 1 of each."""
 
-    The grid is read-only, so that it can be shared by every trial of a run.
-    """
+    angles: np.ndarray
+    order: int
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    phase: np.ndarray = field(init=False, repr=False, compare=False)
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        angles = np.array(self.angles, dtype=float)
+        phase = 1j * np.pi * np.arange(1, self.order + 1)
+        tables = dict(angles=angles, phase=phase,
+                      rows=np.exp(phase[:, None] * np.sin(angles)[None, :]),
+                      factors=2.0 * np.stack((np.ones_like(phase), phase, phase * phase), 1))
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    def __len__(self) -> int:
+        return self.angles.size
+
+
+def make_angle_grid(step_deg: float, order: int) -> ScanGrid:
+    """Uniform scan grid from -89 to 89 degrees inclusive, whose tables serve
+    forms up to dimension order + 1: order = M - 1 covers every scan of an
+    M-element array. Every trial of a run can share it."""
     if not 0 < step_deg < np.inf:
         raise ValueError(f"step_deg must be finite and > 0, got {step_deg}")
     n = int(round(178.0 / step_deg)) + 1
-    grid = np.deg2rad(np.linspace(-89.0, 89.0, n))
-    grid.setflags(write=False)
-    return grid
+    return ScanGrid(np.deg2rad(np.linspace(-89.0, 89.0, n)), order)
 
 
 @dataclass(frozen=True)
 class Pseudospectrum:
-    """Scan values (float vector) over an increasing angle grid (radians)
-    inside (-pi/2, pi/2), such as ``make_angle_grid`` checks and builds.
+    """Scan values (float vector) over the angles of a ``ScanGrid``.
 
     ``sums`` are the superdiagonal sums c_k of a Hermitian Q whose quadratic
     form f(u) = a(u)^H Q a(u) = c_0 + 2 Re sum_k c_k exp(j pi k u), with
     u = sin(theta), the values increase with; ``find_peaks`` refines each
-    peak on f.
+    peak on f with the grid's Newton tables.
     """
 
-    grid: np.ndarray
+    grid: ScanGrid
     values: np.ndarray
     sums: np.ndarray
 
@@ -209,24 +233,7 @@ def _diagonal_sums(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduceat(matrix.ravel()[flat], starts)
 
 
-# The last read-only grid scanned and its rows exp(j pi k sin(theta)),
-# k = 1 .. K, reused for equal grid values (a run scans one grid trial after
-# trial) and fewer rows. A writable grid may change in place: never reused.
-_GRID_ROWS: list = [None, None]
-
-
-def _grid_rows(grid: np.ndarray, count: int) -> np.ndarray:
-    """Rows exp(j pi k sin(theta)), k = 1 .. count, over the grid."""
-    cached, rows = _GRID_ROWS
-    if cached is None or rows.shape[0] < count or not (
-            grid is cached or np.array_equal(grid, cached)):
-        rows = 1j * np.pi * np.arange(1, count + 1)[:, None] * np.sin(grid)[None, :]
-        np.exp(rows, out=rows)
-        _GRID_ROWS[:] = [None if grid.flags.writeable else grid, rows]
-    return rows[:count]
-
-
-def _quadratic_form(matrix: np.ndarray, grid: np.ndarray):
+def _quadratic_form(matrix: np.ndarray, grid: ScanGrid):
     """a(theta)^H Q a(theta) over the grid for a Hermitian Q, with the sums.
 
     For a half-wavelength ULA this is the trigonometric polynomial
@@ -235,10 +242,10 @@ def _quadratic_form(matrix: np.ndarray, grid: np.ndarray):
     (dim-1) x G product, (dim-1) G multiply-adds. Returns (sums, values).
     """
     sums = _diagonal_sums(matrix)
-    return sums, sums[0].real + 2.0 * (sums[1:] @ _grid_rows(grid, sums.size - 1)).real
+    return sums, sums[0].real + 2.0 * (sums[1:] @ grid.rows[:sums.size - 1]).real
 
 
-def bartlett_spectrum(cov: SampleCovariance, grid: np.ndarray) -> Pseudospectrum:
+def bartlett_spectrum(cov: SampleCovariance, grid: ScanGrid) -> Pseudospectrum:
     """Scanned beamformer power a(theta)^H R a(theta) over the grid, in
     (M-1) G multiply-adds instead of the M^2 G of forming R a(theta)."""
     sums, values = _quadratic_form(cov.matrix, grid)
@@ -247,7 +254,7 @@ def bartlett_spectrum(cov: SampleCovariance, grid: np.ndarray) -> Pseudospectrum
 
 
 def music_spectrum(cov: SampleCovariance, num_sources: int,
-                   grid: np.ndarray) -> Pseudospectrum:
+                   grid: ScanGrid) -> Pseudospectrum:
     """MUSIC pseudospectrum 1 / ||E_n^H a(theta)||^2 over the grid.
 
     E_n spans the eigenvectors of the dim - num_sources smallest
@@ -293,19 +300,7 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return (starts[peaks] + ends[peaks]) // 2
 
 
-@functools.lru_cache(maxsize=64)
-def _newton_tables(dim: int):
-    """j pi k and the factors 2, 2 j pi k, 2 (j pi k)^2 as (dim-1) x 3 columns,
-    k = 1 .. dim - 1: with the sums c_k folded into the columns, the real
-    part of exp(j pi k u) @ them is f(u) - c_0, f'(u) and f''(u)."""
-    phase = 1j * np.pi * np.arange(1, dim)
-    weights = 2.0 * np.stack((np.ones_like(phase), phase, phase * phase), axis=1)
-    phase.setflags(write=False)
-    weights.setflags(write=False)
-    return phase, weights
-
-
-def _newton_peaks(sums: np.ndarray, grid: np.ndarray, idx: np.ndarray):
+def _newton_peaks(sums: np.ndarray, grid: ScanGrid, idx: np.ndarray):
     """Safeguarded Newton steps in u = sin(theta) toward the maxima of
     f(u) = c_0 + 2 Re sum_k c_k exp(j pi k u), one per peak sample.
 
@@ -314,9 +309,11 @@ def _newton_peaks(sums: np.ndarray, grid: np.ndarray, idx: np.ndarray):
     evaluated before the last step, which moves a converged peak by
     rounding only.
     """
-    phase, weights = _newton_tables(sums.size)
-    weights = sums[1:, None] * weights
-    low, u, high = np.sin(grid[idx + np.array([[-1], [0], [1]])])
+    # With the sums folded into the Newton factors, the real part of
+    # exp(j pi k u) @ weights is f(u) - c_0, f'(u) and f''(u).
+    phase = grid.phase[:sums.size - 1]
+    weights = sums[1:, None] * grid.factors[:sums.size - 1]
+    low, u, high = np.sin(grid.angles[idx + np.array([[-1], [0], [1]])])
     for _ in range(_NEWTON_STEPS):
         derivatives = (np.exp(u[:, None] * phase) @ weights).real
         curvature = derivatives[:, 2]
@@ -339,7 +336,7 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
     grid, values = spectrum.grid, spectrum.values
     if num_peaks < 1:
         raise ValueError("num_peaks must be >= 1")
-    if grid.size < 2 * num_peaks + 1:
+    if len(grid) < 2 * num_peaks + 1:
         raise ValueError("grid too small for the requested number of peaks")
     maxima = _local_maxima(values)
     if maxima.size < num_peaks:
@@ -353,7 +350,7 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
     return AngleEstimates(angles=np.sort(angles), spectrum=spectrum)
 
 
-def scan_angles(block: ReceivedBlock, num_sources: int, grid: np.ndarray,
+def scan_angles(block: ReceivedBlock, num_sources: int, grid: ScanGrid,
                 plan: Optional[SubarrayPlan]) -> AngleEstimates:
     """Full pilot-free angle stage on one received block.
 

@@ -423,6 +423,16 @@ class TestSweepCommand:
                 "need subarray_size >= num_sources + 1\n")
 
 
+def test_cdf_and_spectrum_build_no_sweep_points(tmp_path):
+    # Both run only the base point (m = 32), so the point m = 4, too small
+    # to smooth three paths, is never built.
+    cfg_path = _write(tmp_path, "run.cfg", "axis = m\nsweep_values = 32, 4\nl = 3\n")
+    for command, flags in (("cdf", ["--trials", "3"]), ("spectrum", [])):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg_path, "--out", str(out), *flags]) == 0
+        assert out.exists()
+
+
 class TestCdfCommand:
     def test_summary_and_series(self, tmp_path):
         out = tmp_path / "cdf.csv"
@@ -452,6 +462,21 @@ class TestCdfCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("text", ["angle_stage = oracle\n", ""],
+                             ids=["oracle_first_draw", "estimated_grid"])
+    def test_allocation_failure_exits_2_in_one_line(self, tmp_path, capsys, text):
+        # 1e16 antennas exceed the address space, so the first array of that
+        # size fails at once: the oracle spec's at its first draw, the
+        # estimated one's when its scan grid is built.
+        cfg_path = _write(tmp_path, "run.cfg", f"m = 10000000000000000\n{text}")
+        out = tmp_path / "x.csv"
+        assert main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_zero_noise_rejected_exits_2(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.cfg", "sigma2 = 0\npt = 1\npd = 1\n")

@@ -83,12 +83,15 @@ class TestSpecValidation:
         assert spec.geometry.num_antennas == 32
         assert spec.transmission.pilot_len == 3
         assert spec.transmission.data_power == spec.data_pow
-        for shared in (spec.pilot_seq, spec.angle_grid):
+        # The default grid: 357 angles, and tables for forms up to 32 x 32.
+        grid = spec.angle_grid
+        assert len(grid) == 357 and grid.order == 31
+        assert grid.rows.shape == (31, 357) and grid.factors.shape == (31, 3)
+        for shared in (spec.pilot_seq, grid.angles, grid.rows, grid.phase, grid.factors):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared[0] = 0.0
         np.testing.assert_array_equal(spec.pilot_seq, np.ones(3))
-        assert spec.angle_grid is spec.angle_grid
         assert draw_realization(spec, 0)[2].pilot_seq is spec.pilot_seq
         assert (spec.plan.num_subarrays, spec.plan.subarray_size) == (3, 30)
         # Every trial scans with the spec's grid and plan.
@@ -115,7 +118,7 @@ class TestSpecValidation:
         # scan nothing, so the spec builds and its trials run.
         spec = ExperimentSpec(num_antennas=4, num_paths=3, angle_stage="oracle",
                               num_trials=2, base_seed=6)
-        assert spec.plan is None
+        assert spec.plan is None and spec.angle_grid is None
         trials = collect_trials(spec)
         assert not any(t.failed for t in trials)
         assert all(np.isfinite(t.sq_error_lp) for t in trials)
@@ -132,9 +135,17 @@ class TestSpecValidation:
         assert point.pilot_seq is not spec.pilot_seq and point.pilot_seq.size == 5
         assert not point.pilot_seq.flags.writeable
         assert point.transmission.pilot_len == 5 and point.geometry.num_antennas == 16
-        assert point.angle_grid.size == 179 and spec.angle_grid.size == 357
-        assert not point.angle_grid.flags.writeable
+        assert len(point.angle_grid) == 179 and len(spec.angle_grid) == 357
+        assert point.angle_grid.order == 15 and point.angle_grid.rows.shape == (15, 179)
+        assert not point.angle_grid.rows.flags.writeable
         assert draw_realization(point, 0)[2].pilot_obs.shape == (16, 5)
+
+
+    def test_each_sweep_point_gets_its_own_grid(self):
+        # An m sweep point scans with tables for its own array size.
+        grids = [point.angle_grid for _, point in _sweep(axis="m")]
+        assert [grid.order for grid in grids] == [7, 15, 31, 63]
+        assert len({id(grid) for grid in grids}) == 4
 
 
 class TestRunTrial:

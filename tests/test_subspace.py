@@ -25,6 +25,7 @@ from issacsim.simharness import ExperimentSpec, draw_realization, run_trial
 from issacsim.subspace import (
     Pseudospectrum,
     SampleCovariance,
+    ScanGrid,
     SubarrayPlan,
     _diagonal_sums,
     _local_maxima,
@@ -39,7 +40,8 @@ from issacsim.subspace import (
     subarray_covariances,
 )
 
-GRID = make_angle_grid(step_deg=0.05)
+# Its tables serve the forms of up to 8 x 8 matrices that the tests scan.
+GRID = make_angle_grid(step_deg=0.05, order=7)
 GRID_STEP = np.deg2rad(0.05)
 
 
@@ -48,10 +50,10 @@ def _steer(geom, theta):
     return steering_matrix(geom, [theta])[:, 0]
 
 
-def _sample_spectrum(grid, values):
-    """A spectrum whose polynomial is flat (only c_0 = 0): the Newton steps
-    leave every peak at its grid sample."""
-    return Pseudospectrum(grid=grid, values=values, sums=np.zeros(1))
+def _sample_spectrum(angles, values):
+    """A spectrum over the angles whose polynomial is flat (only c_0 = 0):
+    the Newton steps leave every peak at its grid sample."""
+    return Pseudospectrum(grid=ScanGrid(angles, 0), values=values, sums=np.zeros(1))
 
 
 def _grid_index(grid, angles):
@@ -201,7 +203,7 @@ class TestBartlett:
         c = 2.5
         cov = SampleCovariance(matrix=c * np.outer(steer, steer.conj()),
                                num_snapshots=1)
-        spectrum = bartlett_spectrum(cov, np.array([theta]))
+        spectrum = bartlett_spectrum(cov, ScanGrid([theta], 5))
         assert spectrum.values[0] == pytest.approx(c * 36.0, rel=1e-10)
 
     def test_zero_at_orthogonal_shift(self):
@@ -211,7 +213,7 @@ class TestBartlett:
         shifted = np.arcsin(np.sin(theta) + 2.0 / m)
         steer = _steer(geom, theta)
         cov = SampleCovariance(matrix=np.outer(steer, steer.conj()), num_snapshots=1)
-        spectrum = bartlett_spectrum(cov, np.array([shifted]))
+        spectrum = bartlett_spectrum(cov, ScanGrid([shifted], m - 1))
         assert spectrum.values[0] < 1e-9
 
     def test_identity_gives_constant(self):
@@ -233,31 +235,36 @@ class TestBartlett:
         (lambda cov, grid: music_spectrum(cov, 1, grid),
          lambda cov, grid: _reference_music_values(cov, 1, grid)),
     ], ids=["bartlett", "music"])
-    def test_grid_changed_in_place_is_scanned_afresh(self, scan, reference):
-        # make_angle_grid grids are read-only and shared by a run's trials;
-        # the grid rows table must still follow a writable grid's new values.
-        assert not make_angle_grid(step_deg=1.0).flags.writeable
+    def test_grid_copies_its_angles(self, scan, reference):
+        # Changing the source array afterwards changes neither the grid's
+        # angles nor its rows, so a scan still matches the reference at the
+        # angles the grid was built from.
         steer = _steer(UlaGeometry(6), 0.3)
         cov = SampleCovariance(np.outer(steer, steer.conj()) + np.eye(6), 1)
-        grid = np.array(make_angle_grid(step_deg=1.0))
-        scan(cov, grid)
-        grid += 0.25 * np.deg2rad(1.0)
-        np.testing.assert_allclose(scan(cov, grid).values, reference(cov, grid),
-                                   rtol=1e-9)
+        source = np.array(make_angle_grid(step_deg=1.0, order=5).angles)
+        built = source.copy()
+        grid = ScanGrid(source, 5)
+        rows = grid.rows.copy()
+        source += 0.25 * np.deg2rad(1.0)
+        np.testing.assert_array_equal(grid.angles, built)
+        np.testing.assert_array_equal(grid.rows, rows)
+        np.testing.assert_allclose(scan(cov, grid).values, reference(cov, built), rtol=1e-9)
 
-    def test_distinct_grids_leave_one_rows_table(self):
-        # A process that scans many read-only grids keeps only the last
-        # grid's rows alive: 31 x G complex values at M = 32.
+    def test_temporary_grids_hold_no_rows_table(self):
+        # Each grid owns its 31 x G rows and nothing else keeps them: after
+        # ten temporary grids are scanned, less than the smallest grid's
+        # table stays allocated.
         cov = SampleCovariance(np.eye(32), 1)
-        table_bytes = 31 * make_angle_grid(step_deg=0.02).size * 16
+        steps = [0.02 + 0.0005 * i for i in range(10)]
+        table_bytes = 31 * len(make_angle_grid(max(steps), 0)) * 16
         tracemalloc.start()
         try:
-            for i in range(10):
-                bartlett_spectrum(cov, make_angle_grid(step_deg=0.02 + 0.0005 * i))
+            for step in steps:
+                bartlett_spectrum(cov, make_angle_grid(step, 31))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 2 * table_bytes
+        assert held < table_bytes
 
 
 class TestBartlettPolynomial:
@@ -270,10 +277,9 @@ class TestBartlettPolynomial:
         rank = int(rng.integers(1, dim + 1))
         factor = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         matrix = factor @ factor.conj().T
-        grid = np.array(grid)
         steers = [_steer(UlaGeometry(dim), theta) for theta in grid]
         expected = [np.vdot(steer, matrix @ steer).real for steer in steers]
-        values = bartlett_spectrum(SampleCovariance(matrix, 1), grid).values
+        values = bartlett_spectrum(SampleCovariance(matrix, 1), ScanGrid(grid, dim - 1)).values
         np.testing.assert_allclose(values, expected, rtol=0,
                                    atol=1e-12 * np.trace(matrix).real)
 
@@ -304,14 +310,14 @@ class TestBartlettPolynomial:
                 plan = SubarrayPlan.for_sources(spec.num_antennas, num_paths)
                 cov = forward_backward_smooth(subarray_covariances(block, plan))
                 spectrum = music_spectrum(cov, num_paths, grid)
-                expected = _reference_music_values(cov, num_paths, grid)
+                expected = _reference_music_values(cov, num_paths, grid.angles)
                 np.testing.assert_allclose(spectrum.values, expected, rtol=1e-11)
                 signal_basis = hermitian_eigendecomposition(cov)[1][:, -num_paths:]
                 form = signal_basis @ signal_basis.conj().T
             else:
                 cov = sample_covariance(block)
                 spectrum = bartlett_spectrum(cov, grid)
-                expected = _reference_bartlett_values(cov, grid)
+                expected = _reference_bartlett_values(cov, grid.angles)
                 np.testing.assert_allclose(spectrum.values, expected, rtol=0,
                                            atol=1e-13 * expected.max())
                 form = cov.matrix
@@ -483,7 +489,7 @@ class TestMusicSpectrum:
         steer = _steer(geom, theta)
         cov = SampleCovariance(matrix=np.outer(steer, steer.conj()), num_snapshots=1)
         spectrum = music_spectrum(cov, 1, GRID)
-        peak_angle = GRID[np.argmax(spectrum.values)]
+        peak_angle = GRID.angles[np.argmax(spectrum.values)]
         assert abs(peak_angle - theta) <= GRID_STEP
 
     def test_identity_flat(self):
@@ -513,8 +519,7 @@ class TestMusicSpectrum:
         num_sources = data.draw(st.integers(1, dim - 1), label="num_sources")
         matrix = _random_hermitian(np.random.default_rng(seed), dim)
         cov = SampleCovariance(matrix @ matrix.conj().T, 1)
-        grid = np.array(grid)
-        spectrum = music_spectrum(cov, num_sources, grid)
+        spectrum = music_spectrum(cov, num_sources, ScanGrid(grid, dim - 1))
         _, eigvecs = hermitian_eigendecomposition(cov)
         noise_basis = eigvecs[:, :dim - num_sources]
         steer = np.exp(1j * np.pi * np.outer(np.arange(dim), np.sin(grid)))
@@ -541,14 +546,14 @@ class TestMusicSpectrum:
 
 class TestFindPeaks:
     def test_single_peak(self):
-        grid = make_angle_grid(step_deg=1.0)
+        grid = make_angle_grid(step_deg=1.0, order=0).angles
         values = np.zeros_like(grid)
         values[40] = 1.0
         found = find_peaks(_sample_spectrum(grid, values), 1)
         assert _grid_index(grid, found.angles) == [40]
 
     def test_equal_peaks_tie_break_smaller_angle(self):
-        grid = make_angle_grid(step_deg=1.0)
+        grid = make_angle_grid(step_deg=1.0, order=0).angles
         values = np.zeros_like(grid)
         values[30] = 2.0
         values[90] = 2.0
@@ -559,7 +564,7 @@ class TestFindPeaks:
                              ids=["odd_width", "even_width"])
     def test_plateau_center(self, start, stop, center):
         # an even-width plateau i..j picks (i + j) // 2, the left-middle sample
-        grid = make_angle_grid(step_deg=1.0)
+        grid = make_angle_grid(step_deg=1.0, order=0).angles
         values = np.zeros_like(grid)
         values[start:stop] = 1.0
         found = find_peaks(_sample_spectrum(grid, values), 1)
@@ -569,26 +574,26 @@ class TestFindPeaks:
         # Newton steps on the Bartlett polynomial land on a source between
         # grid points; the same samples with a flat polynomial keep the peak
         # sample's grid angle.
-        grid = make_angle_grid(step_deg=0.5)
-        theta = grid[160] + 0.37 * (grid[161] - grid[160])
+        grid = make_angle_grid(step_deg=0.5, order=15)
+        theta = grid.angles[160] + 0.37 * (grid.angles[161] - grid.angles[160])
         steer = _steer(UlaGeometry(16), theta)
         cov = SampleCovariance(np.outer(steer, steer.conj()) + 0.1 * np.eye(16), 1)
         spectrum = bartlett_spectrum(cov, grid)
         assert abs(find_peaks(spectrum, 1).angles[0] - theta) < 1e-12
-        bare = _sample_spectrum(grid, spectrum.values)
-        assert _grid_index(grid, find_peaks(bare, 1).angles) == [160]
+        bare = _sample_spectrum(grid.angles, spectrum.values)
+        assert _grid_index(grid.angles, find_peaks(bare, 1).angles) == [160]
 
     def test_no_step_where_polynomial_bends_up(self):
         # f(u) = 1 - cos(pi (u - u_min)) has its minimum just right of the
         # peak sample, where f'' > 0: a Newton step there would run into
         # the minimum, so the peak keeps its grid angle.
-        grid = make_angle_grid(step_deg=0.5)
-        values = np.zeros_like(grid)
+        grid = make_angle_grid(step_deg=0.5, order=1)
+        values = np.zeros(len(grid))
         values[200] = 1.0
-        u_min = np.sin(grid[200]) + 0.002
+        u_min = np.sin(grid.angles[200]) + 0.002
         sums = np.array([1.0, -0.5 * np.exp(-1j * np.pi * u_min)])
         found = find_peaks(Pseudospectrum(grid=grid, values=values, sums=sums), 1)
-        assert found.angles[0] == pytest.approx(grid[200], rel=0, abs=1e-15)
+        assert found.angles[0] == pytest.approx(grid.angles[200], rel=0, abs=1e-15)
 
     @given(seed=st.integers(0, 10**6), dim=st.integers(2, 12), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -598,8 +603,9 @@ class TestFindPeaks:
         # sampling of its bracket: the grid neighbors of its peak sample.
         matrix = _random_hermitian(np.random.default_rng(seed), dim)
         matrix -= np.linalg.eigvalsh(matrix)[0] * np.eye(dim)  # f >= 0
-        grid = make_angle_grid(step_deg=0.5)
-        spectrum = bartlett_spectrum(SampleCovariance(matrix, 1), grid)
+        spectrum = bartlett_spectrum(SampleCovariance(matrix, 1),
+                                     make_angle_grid(step_deg=0.5, order=dim - 1))
+        grid = spectrum.grid.angles
         maxima = _local_maxima(spectrum.values)
         num_peaks = data.draw(st.integers(1, max(1, maxima.size)), label="num_peaks")
         if maxima.size == 0:
@@ -635,7 +641,7 @@ class TestFindPeaks:
             assert form(u)[0] >= form(around).max() - 1e-12 * scale
 
     def test_results_sorted_by_angle(self):
-        grid = make_angle_grid(step_deg=1.0)
+        grid = make_angle_grid(step_deg=1.0, order=0).angles
         values = np.zeros_like(grid)
         values[120] = 3.0
         values[20] = 1.0
@@ -649,7 +655,7 @@ class TestFindPeaks:
         lambda n: np.full(n, 3.0),  # constant
     ], ids=["monotone", "low_end_plateau", "high_end_plateau", "constant"])
     def test_too_few_maxima_raises(self, make_values):
-        grid = make_angle_grid(step_deg=1.0)
+        grid = make_angle_grid(step_deg=1.0, order=0).angles
         spectrum = _sample_spectrum(grid, make_values(grid.size))
         with pytest.raises(EstimationError, match=r"^found 0 spectral peaks, need 1$"):
             find_peaks(spectrum, 1)
@@ -689,7 +695,7 @@ def _reference_peak_indices(values, num_peaks):
 @pytest.mark.parametrize("step_deg", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_make_angle_grid_rejects_bad_step(step_deg):
     with pytest.raises(ValueError, match=r"^step_deg must be finite and > 0, got "):
-        make_angle_grid(step_deg=step_deg)
+        make_angle_grid(step_deg=step_deg, order=1)
 
 
 class TestPeakSearchMatchesReferenceLoop:
@@ -716,7 +722,7 @@ class TestPeakSearchMatchesReferenceLoop:
         for trial in range(4):
             _, _, block = draw_realization(spec, trial)
             found = scan_angles(block, num_paths, spec.angle_grid, spec.plan)
-            grid, values = found.spectrum.grid, found.spectrum.values
+            grid, values = found.spectrum.grid.angles, found.spectrum.values
             chosen = find_peaks(_sample_spectrum(grid, values), num_paths).angles
             assert _grid_index(grid, chosen) == _reference_peak_indices(values, num_paths)
 
@@ -746,8 +752,8 @@ class TestConsistency:
         spec = ExperimentSpec(mode=mode, num_paths=num_paths,
                               num_antennas=num_antennas, base_seed=11)
         blocks = [draw_realization(spec, trial)[2] for trial in range(200)]
-        # one grid after the other: the scan keeps one grid's rows table
         coarse, fine = ([scan_angles(block, num_paths, grid, spec.plan).angles
                          for block in blocks]
-                        for grid in (spec.angle_grid, make_angle_grid(step_deg=0.02)))
+                        for grid in (spec.angle_grid,
+                                     make_angle_grid(step_deg=0.02, order=num_antennas - 1)))
         np.testing.assert_allclose(np.rad2deg(coarse), np.rad2deg(fine), rtol=0, atol=0.01)
