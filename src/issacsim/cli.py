@@ -25,7 +25,7 @@ import numpy as np
 
 from .array_channel import AnglePolicy
 from .errors import EstimationError, SpecError
-from .simharness import ExperimentSpec, collect_trials, draw_realization, run_sweep, snr_cdfs
+from .simharness import ExperimentSpec, collect_trials, draw_realization, snr_cdfs, summarize
 from .subspace import bartlett_spectrum, sample_covariance, scan_angles
 
 __all__ = ["main", "load_run_config", "build_spec"]
@@ -99,8 +99,7 @@ def _parse_points(axis: str, text: str) -> Tuple[float, ...]:
 
 
 # Config keys that set one ExperimentSpec field: key -> (field, parser).
-# A CLI flag named like one of these keys (--seed, --trials, --mode)
-# overrides it.
+# A CLI flag named like one of these keys (--seed, --trials) overrides it.
 _SPEC_KEYS = {
     "m": ("num_antennas", int),
     "l": ("num_paths", int),
@@ -271,37 +270,32 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]
 
 
 def _cmd_sweep(sweep: Sweep, ceiling: float, args: argparse.Namespace) -> int:
-    axis, specs = sweep
+    axis, points = sweep
     if axis is None:
         raise ValueError(f"sweep needs an axis; set axis or --axis to one of {', '.join(_AXES)}")
-    points = run_sweep(specs)
-    rows = []
-    for p in points:
-        rows.append((
-            p.sweep_value, p.e_cp_sim, p.theory.e_cp, p.e_lp_sim, p.theory.e_lp,
-            p.nrmse_cp, p.nrmse_lp,
-            _to_db(p.gamma_cp_sim), _to_db(p.theory.gamma_cp_approx),
-            _to_db(p.gamma_lp_sim), _to_db(p.theory.gamma_upper),
-            p.failure_rate, p.num_trials,
-        ))
+    runs = [(value, spec.theory(), summarize(spec, collect_trials(spec)))
+            for value, spec in points]
+    rows = [(value, s.e_cp_sim, t.e_cp, s.e_lp_sim, t.e_lp, s.nrmse_cp, s.nrmse_lp,
+             _to_db(s.gamma_cp_sim), _to_db(t.gamma_cp_approx),
+             _to_db(s.gamma_lp_sim), _to_db(t.gamma_upper), s.failure_rate, s.num_trials)
+            for value, t, s in runs]
     _write_csv(Path(args.out), SWEEP_CSV_HEADER, rows)
-    worst = max(p.failure_rate for p in points)
-    for p in points:
-        print(f"{axis}={_fmt(p.sweep_value)}: "
-              f"e_cp={p.e_cp_sim:.4g} (theory {p.theory.e_cp:.4g}), "
-              f"e_lp={p.e_lp_sim:.4g} (theory {p.theory.e_lp:.4g}), "
-              f"failures={p.num_failures}/{p.num_trials}")
+    for value, t, s in runs:
+        print(f"{axis}={_fmt(value)}: "
+              f"e_cp={s.e_cp_sim:.4g} (theory {t.e_cp:.4g}), "
+              f"e_lp={s.e_lp_sim:.4g} (theory {t.e_lp:.4g}), "
+              f"failures={s.num_failures}/{s.num_trials}")
     print(f"wrote {args.out}")
-    return 0 if worst <= ceiling else 1
+    return 0 if max(s.failure_rate for _, _, s in runs) <= ceiling else 1
 
 
 def _cmd_cdf(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
     if spec.noise_var == 0:
         raise ValueError("cdf needs sigma2 > 0: with sigma2 = 0 every receive SNR is infinite")
     trials = collect_trials(spec)
-    failures = sum(t.failed for t in trials)
-    if failures == len(trials):
-        print(f"error: all {failures} trials failed; no CDF written", file=sys.stderr)
+    summary = summarize(spec, trials)
+    if summary.num_failures == summary.num_trials:
+        print(f"error: all {summary.num_trials} trials failed; no CDF written", file=sys.stderr)
         return 1
     series = snr_cdfs(trials)
     cp, lp = series["conventional"], series["issac"]
@@ -313,18 +307,17 @@ def _cmd_cdf(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> 
     comments = (
         f"p90_gamma_cp_db = {_fmt(_to_db(cp.percentiles[90.0]))}",
         f"p90_gamma_lp_db = {_fmt(_to_db(lp.percentiles[90.0]))}",
-        f"trials = {len(trials)}",
-        f"failures = {failures}",
+        f"trials = {summary.num_trials}",
+        f"failures = {summary.num_failures}",
     )
     _write_csv(Path(args.out), ("snr_cp_db", "F_cp", "snr_lp_db", "F_lp"),
                rows, comments)
     print(f"90th percentile receive SNR: conventional "
           f"{_to_db(cp.percentiles[90.0]):.2f} dB, "
           f"issac {_to_db(lp.percentiles[90.0]):.2f} dB "
-          f"({failures}/{len(trials)} trials failed)")
+          f"({summary.num_failures}/{summary.num_trials} trials failed)")
     print(f"wrote {args.out}")
-    failure_rate = failures / len(trials)
-    return 0 if failure_rate <= ceiling else 1
+    return 0 if summary.failure_rate <= ceiling else 1
 
 
 def _cmd_spectrum(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
@@ -355,8 +348,6 @@ def _add_common_args(parser: argparse.ArgumentParser, with_axis: bool) -> None:
                         help="override the base seed")
     parser.add_argument("--trials", type=int, default=None, metavar="N",
                         help="override the trial count")
-    parser.add_argument("--mode", choices=("los", "multipath"), default=None,
-                        help="override the channel mode")
     parser.add_argument("--oracle-angles", action="store_true",
                         help="skip angle estimation and use the true angles")
     if with_axis:

@@ -14,10 +14,11 @@ class SpecError(ValueError):
 
 @contextlib.contextmanager
 def blame(fields: str):
-    """Re-raise a ValueError of the enclosed check as a SpecError on ``fields``."""
+    """Re-raise a ValueError or MemoryError of the enclosed code as a SpecError
+    on ``fields``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise SpecError(fields, str(exc)) from None
 
 

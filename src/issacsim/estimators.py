@@ -27,7 +27,6 @@ __all__ = [
     "ls_conventional",
     "mrc_beamformer",
     "empirical_snr",
-    "snr_cp_approx",
     "estimate_gains_multipath",
     "closed_form_predictions",
 ]
@@ -82,21 +81,6 @@ def empirical_snr(beamformer: np.ndarray, h: np.ndarray, data_power: float,
         return float(np.divide(signal, noise_var))
 
 
-def snr_cp_approx(num_antennas: int, pilot_len: int, snr_t: float,
-                  data_power: float, h_norm_sq: float,
-                  noise_var: float) -> Tuple[float, float]:
-    """Large-array approximation of the conventional-route receive SNR.
-
-    Returns (gamma, xi) where xi = (1 - 1/M) / (pilot_len * snr_t + 1) is
-    the penalty from beamforming on an imperfect estimate and
-    gamma = data_power * h_norm_sq / noise_var * (1 - xi).
-    """
-    xi = (1.0 - 1.0 / num_antennas) / (pilot_len * snr_t + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = float(np.divide(data_power * h_norm_sq, noise_var))
-    return upper * (1.0 - xi), xi
-
-
 def estimate_gains_multipath(h_ls: np.ndarray, thetas_hat: Sequence[float]
                              ) -> Tuple[np.ndarray, np.ndarray]:
     """Path gains from the LS estimate ``h_ls`` and the estimated angles.
@@ -135,7 +119,10 @@ def closed_form_predictions(num_antennas: int, num_paths: int, pilot_power: floa
       dimensions spanned by the (exact) steering vectors (LoS is L = 1).
 
     The SNR forms use the mean channel energy num_paths * num_antennas of
-    unit-variance path gains.
+    unit-variance path gains. The conventional-route receive SNR is the
+    matched-filter bound gamma_upper times 1 - xi, where the penalty
+    xi = (1 - 1/M) / (pilot_len * snr_t + 1) comes from beamforming on an
+    imperfect estimate.
     """
     if pilot_power <= 0 or pilot_len <= 0:
         raise ValueError("pilot_power and pilot_len must be positive")
@@ -147,7 +134,6 @@ def closed_form_predictions(num_antennas: int, num_paths: int, pilot_power: floa
         snr_t = float(np.divide(pilot_power * expected_h_norm_sq,
                                 num_antennas * noise_var))
         gamma_upper = float(np.divide(data_power * expected_h_norm_sq, noise_var))
-    gamma_cp, xi = snr_cp_approx(num_antennas, pilot_len, snr_t, data_power,
-                                 expected_h_norm_sq, noise_var)
-    return ClosedFormPredictions(e_cp=e_cp, e_lp=e_lp, gamma_cp_approx=gamma_cp,
-                                 gamma_upper=gamma_upper, xi=xi)
+    xi = (1.0 - 1.0 / num_antennas) / (pilot_len * snr_t + 1.0)
+    return ClosedFormPredictions(e_cp=e_cp, e_lp=e_lp, gamma_upper=gamma_upper,
+                                 gamma_cp_approx=gamma_upper * (1.0 - xi), xi=xi)

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: paired trials, aggregation, sweeps, and CDFs.
+"""Monte Carlo harness: paired trials, their summary, and CDFs.
 
 Each trial draws a fresh channel and received block from a stream derived
 only from (base_seed, trial_index), runs both estimators on the identical
@@ -41,11 +41,11 @@ from .subspace import ScanGrid, SubarrayPlan, make_angle_grid, scan_angles
 __all__ = [
     "ExperimentSpec",
     "TrialResult",
-    "SweepPoint",
+    "PointSummary",
     "CdfSeries",
     "run_trial",
     "collect_trials",
-    "run_sweep",
+    "summarize",
     "nrmse",
     "empirical_cdf",
     "match_angles",
@@ -135,9 +135,13 @@ class ExperimentSpec:
         object.__setattr__(self, "pilot_seq", generate_pilot_sequence(self.transmission.pilot_len))
         self.pilot_seq.setflags(write=False)
         self.angle_policy.check_paths(self.num_paths)
+        # The gain solve needs a steering matrix of full column rank.
+        if self.num_paths > self.num_antennas:
+            raise SpecError("num_antennas num_paths", "more paths than antennas")
         grid = plan = None
         if self.angle_stage == "estimated":
-            grid = make_angle_grid(self.grid_step_deg, self.num_antennas - 1)
+            with blame("num_antennas grid_step_deg"):
+                grid = make_angle_grid(self.grid_step_deg, self.num_antennas - 1)
             if len(grid) < 2 * self.num_paths + 1:
                 raise SpecError("grid_step_deg num_paths",
                                 f"a grid of {len(grid)} points is too small for "
@@ -300,20 +304,19 @@ def snr_cdfs(trials: Sequence[TrialResult]) -> Dict[str, CdfSeries]:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """Aggregated metrics of one sweep point with theory alongside.
+class PointSummary:
+    """What the trials of one spec measured.
 
-    Means are over the non-failed trials; the SNRs are linear.
+    Means are over the non-failed trials, nan when every trial failed; the
+    SNRs are linear.
     """
 
-    sweep_value: float
     e_cp_sim: float
     e_lp_sim: float
     nrmse_cp: float
     nrmse_lp: float
     gamma_cp_sim: float
     gamma_lp_sim: float
-    theory: ClosedFormPredictions
     num_trials: int
     num_failures: int
 
@@ -322,8 +325,11 @@ class SweepPoint:
         return self.num_failures / self.num_trials
 
 
-def _summarize(spec: ExperimentSpec, trials: Sequence[TrialResult],
-               sweep_value: float) -> SweepPoint:
+def summarize(spec: ExperimentSpec, trials: Sequence[TrialResult]) -> PointSummary:
+    """Means, NRMSEs and failure counts of the spec's trials.
+
+    Raises ValueError when a mean receive SNR beats the matched filter.
+    """
     ok = [t for t in trials if not t.failed]
     e_cp_sim = e_lp_sim = nrmse_cp = nrmse_lp = gamma_cp = gamma_lp = float("nan")
     if ok:
@@ -343,20 +349,13 @@ def _summarize(spec: ExperimentSpec, trials: Sequence[TrialResult],
                                     spec.noise_var)) * (1.0 + 1e-9)
         if gamma_cp > limit or gamma_lp > limit:
             raise ValueError("mean receive SNR exceeds the matched-filter bound")
-    return SweepPoint(
-        sweep_value=sweep_value,
+    return PointSummary(
         e_cp_sim=e_cp_sim,
         e_lp_sim=e_lp_sim,
         nrmse_cp=nrmse_cp,
         nrmse_lp=nrmse_lp,
         gamma_cp_sim=gamma_cp,
         gamma_lp_sim=gamma_lp,
-        theory=spec.theory(),
         num_trials=len(trials),
         num_failures=len(trials) - len(ok),
     )
-
-
-def run_sweep(points: Sequence[Tuple[float, ExperimentSpec]]) -> Tuple[SweepPoint, ...]:
-    """Aggregate the trials of every ``(sweep_value, spec)`` point, in order."""
-    return tuple(_summarize(spec, collect_trials(spec), value) for value, spec in points)

@@ -16,7 +16,7 @@ from issacsim.cli import (
     load_run_config,
     main,
 )
-from issacsim.simharness import run_sweep
+from issacsim.simharness import collect_trials, summarize
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -249,6 +249,9 @@ class TestConfigParsing:
         ("pd = 0\n", [], "error: pd = '0': powers must be positive"),
         ("kappa = 0\n", [], "error: kappa = '0': data_len must be a positive integer"),
         ("m = 4\nl = 3\n", [], "error: m = '4', l = '3': subarrays too small"),
+        # Oracle angles smooth nothing, but the gain solve needs L <= M.
+        ("m = 2\nl = 3\nangle_stage = oracle\n", [],
+         "error: m = '2', l = '3': more paths than antennas"),
         # Found when the spec is built, not at the first trial's peak search.
         ("l = 3\ngrid_step_deg = 60\n", [],
          "error: l = '3', grid_step_deg = '60': a grid of 4 points is too small for 3 peaks"),
@@ -279,8 +282,8 @@ class TestConfigParsing:
             "small_array_default_point_from_config", "overridden_axis_with_points",
             "unknown_axis_under_flag", "tracked_pilot_sweep_point", "zero_pilots",
             "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
-            "zero_data_len", "small_array", "coarse_grid", "unknown_gain_policy",
-            "fixed_angle_count",
+            "zero_data_len", "small_array", "more_paths_than_antennas", "coarse_grid",
+            "unknown_gain_policy", "fixed_angle_count",
             "fixed_angle_count_beside_range", "infeasible_min_sep",
             "infeasible_min_sep_in_range", "nan_min_sep", "infinite_min_sep",
             "folded_min_sep"])
@@ -315,14 +318,19 @@ class TestSweepCommand:
         assert len(rows) == 4
         _, _, (_, points) = build_spec(
             {"axis": "m", "trials": "25", "seed": "5", "angle_stage": "oracle"})
-        for row, point in zip(rows, run_sweep(points)):
-            parsed = [float(cell) for cell in row]
-            assert parsed[0] == pytest.approx(point.sweep_value, rel=1e-11)
-            assert parsed[1] == pytest.approx(point.e_cp_sim, rel=1e-11)
-            assert parsed[2] == pytest.approx(point.theory.e_cp, rel=1e-11)
-            assert parsed[3] == pytest.approx(point.e_lp_sim, rel=1e-11)
-            assert parsed[4] == pytest.approx(point.theory.e_lp, rel=1e-11)
-            assert parsed[12] == point.num_trials
+        db = lambda value: 10.0 * np.log10(value)  # noqa: E731
+        for row, (value, spec) in zip(rows, points):
+            theory, summary = spec.theory(), summarize(spec, collect_trials(spec))
+            expected = [
+                value, summary.e_cp_sim, theory.e_cp, summary.e_lp_sim, theory.e_lp,
+                summary.nrmse_cp, summary.nrmse_lp,
+                db(summary.gamma_cp_sim), db(theory.gamma_cp_approx),
+                db(summary.gamma_lp_sim), db(theory.gamma_upper),
+                summary.failure_rate, summary.num_trials,
+            ]
+            assert len(row) == len(expected)
+            for column, cell, want in zip(header, row, expected):
+                assert float(cell) == pytest.approx(want, rel=1e-11), column
 
     def test_theory_column_scales_with_antennas(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -423,6 +431,15 @@ class TestSweepCommand:
                 "need subarray_size >= num_sources + 1\n")
 
 
+def test_mode_flag_exits_with_usage(capsys):
+    # The channel mode is set by the mode config key only.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cdf", "--out", "x.csv", "--mode", "los"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "unrecognized arguments: --mode los" in err
+
+
 def test_cdf_and_spectrum_build_no_sweep_points(tmp_path):
     # Both run only the base point (m = 32), so the point m = 4, too small
     # to smooth three paths, is never built.
@@ -463,18 +480,21 @@ class TestCdfCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "infeasible" in err
 
-    @pytest.mark.parametrize("text", ["angle_stage = oracle\n", ""],
-                             ids=["oracle_first_draw", "estimated_grid"])
-    def test_allocation_failure_exits_2_in_one_line(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, message", [
+        ("angle_stage = oracle\n", "error: Unable to allocate "),
+        ("", "error: m = '10000000000000000': Unable to allocate "),
+    ], ids=["oracle_first_draw", "estimated_grid"])
+    def test_allocation_failure_exits_2_in_one_line(self, tmp_path, capsys, text, message):
         # 1e16 antennas exceed the address space, so the first array of that
-        # size fails at once: the oracle spec's at its first draw, the
-        # estimated one's when its scan grid is built.
+        # size fails at once: the estimated spec's when its scan grid is
+        # built, which names the key, and the oracle one's at its first draw,
+        # which allocates outside the spec and keeps numpy's message.
         cfg_path = _write(tmp_path, "run.cfg", f"m = 10000000000000000\n{text}")
         out = tmp_path / "x.csv"
         assert main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
@@ -498,6 +518,18 @@ class TestCdfCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "all 3 trials failed" in err
+
+    def test_mean_snr_above_matched_filter_bound_exits_2_without_csv(
+            self, tmp_path, capsys, monkeypatch):
+        # cdf reduces its trials with the same summary as sweep, bound check included.
+        monkeypatch.setattr(harness, "empirical_snr", lambda *args: 1e12)
+        out = tmp_path / "x.csv"
+        code = main(["cdf", "--out", str(out), "--trials", "3", "--oracle-angles"])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mean receive SNR exceeds the matched-filter bound\n"
 
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -23,7 +23,6 @@ from issacsim.estimators import (
     estimate_gains_multipath,
     ls_conventional,
     mrc_beamformer,
-    snr_cp_approx,
 )
 
 
@@ -160,26 +159,24 @@ class TestEmpiricalSnr:
 
 
 class TestClosedForms:
+    # With one path the mean channel energy is M and snr_t = pilot_power / noise_var.
     def test_penalty_factor_reference_point(self):
-        gamma, xi = snr_cp_approx(num_antennas=32, pilot_len=3, snr_t=0.1,
-                                  data_power=0.1, h_norm_sq=32.0, noise_var=1.0)
-        assert xi == pytest.approx((1.0 - 1.0 / 32.0) / 1.3, abs=1e-12)
-        assert xi == pytest.approx(0.74519, abs=2e-5)
-        assert gamma == pytest.approx(3.2 * (1.0 - xi), rel=1e-12)
+        theory = closed_form_predictions(num_antennas=32, num_paths=1, pilot_power=0.1,
+                                         pilot_len=3, noise_var=1.0, data_power=0.1)
+        assert theory.xi == pytest.approx((1.0 - 1.0 / 32.0) / 1.3, abs=1e-12)
+        assert theory.xi == pytest.approx(0.74519, abs=2e-5)
+        assert theory.gamma_cp_approx == pytest.approx(3.2 * (1.0 - theory.xi), rel=1e-12)
 
     def test_penalty_vanishes_with_pilot_energy(self):
-        gamma, xi = snr_cp_approx(32, 10**9, snr_t=1.0, data_power=1.0,
-                                  h_norm_sq=32.0, noise_var=1.0)
-        assert xi < 1e-8
-        assert gamma == pytest.approx(32.0, rel=1e-6)
+        theory = closed_form_predictions(32, 1, 1.0, 10**9, 1.0, 1.0)
+        assert theory.xi < 1e-8
+        assert theory.gamma_cp_approx == pytest.approx(32.0, rel=1e-6)
 
     def test_single_antenna_no_penalty(self):
-        _, xi = snr_cp_approx(1, 1, snr_t=0.0, data_power=1.0,
-                              h_norm_sq=1.0, noise_var=1.0)
-        assert xi == 0.0
+        assert closed_form_predictions(1, 1, 1.0, 1, 1.0, 1.0).xi == 0.0
 
     def test_monotone_in_pilot_energy(self):
-        gammas = [snr_cp_approx(32, 3, s, 0.1, 32.0, 1.0)[0]
+        gammas = [closed_form_predictions(32, 1, s, 3, 1.0, 0.1).gamma_cp_approx
                   for s in (0.01, 0.1, 1.0, 10.0)]
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
 

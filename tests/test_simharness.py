@@ -1,4 +1,4 @@
-"""Tests for the Monte Carlo harness: trials, aggregation, sweeps, CDFs."""
+"""Tests for the Monte Carlo harness: trials, their summary, sweeps, CDFs."""
 
 import dataclasses
 
@@ -19,8 +19,8 @@ from issacsim.simharness import (
     empirical_cdf,
     match_angles,
     nrmse,
-    run_sweep,
     run_trial,
+    summarize,
 )
 
 FIXED_ANGLES = AnglePolicy(fixed=tuple(np.deg2rad([-30.0, 0.0, 30.0])))
@@ -72,6 +72,8 @@ class TestSpecValidation:
         ({"num_antennas": 4}, ["num_antennas", "num_paths"]),
         # 4 grid points hold at most one interior local maximum, not 3 peaks
         ({"grid_step_deg": 60.0}, ["grid_step_deg", "num_paths"]),
+        # The gain solve of any angle stage needs no more paths than antennas.
+        ({"num_antennas": 2, "angle_stage": "oracle"}, ["num_antennas", "num_paths"]),
     ])
     def test_rejection_names_its_fields(self, changes, fields):
         with pytest.raises(SpecError) as caught:
@@ -206,11 +208,11 @@ class TestFailureAccounting:
 
         monkeypatch.setattr(harness, "scan_angles", flaky_scan)
         spec = ExperimentSpec(angle_policy=FIXED_ANGLES, num_trials=9, base_seed=2)
-        (point,) = run_sweep([(32.0, spec)])
-        assert point.num_failures == 3
-        assert point.failure_rate == pytest.approx(3.0 / 9.0)
-        assert np.isfinite(point.e_lp_sim)
         trials = collect_trials(spec)
+        summary = summarize(spec, trials)
+        assert summary.num_failures == 3
+        assert summary.failure_rate == pytest.approx(3.0 / 9.0)
+        assert np.isfinite(summary.e_lp_sim)
         flagged = [t for t in trials if t.failed]
         assert {t.failure_reason for t in flagged} == {"injected peak failure"}
         assert all(np.isnan(t.sq_error_lp) for t in flagged)
@@ -291,26 +293,26 @@ class TestEmpiricalCdf:
 
 class TestSweeps:
     def test_antenna_sweep_theory_columns(self):
-        points = run_sweep(_sweep(axis="m", sweep_values="8, 16, 32, 64",
-                                  trials=2, angle_stage="oracle", seed=1))
-        e_cp = [p.theory.e_cp for p in points]
-        e_lp = [p.theory.e_lp for p in points]
+        points = _sweep(axis="m", sweep_values="8, 16, 32, 64", trials=2,
+                        angle_stage="oracle", seed=1)
+        e_cp = [spec.theory().e_cp for _, spec in points]
+        e_lp = [spec.theory().e_lp for _, spec in points]
         np.testing.assert_allclose(e_cp, [m / 0.3 for m in (8, 16, 32, 64)], rtol=1e-12)
         np.testing.assert_allclose(e_lp, 10.0, rtol=1e-12)
 
     def test_pilot_power_sweep_inverse_slope(self):
-        points = run_sweep(_sweep(axis="pt", sweep_values="0.01, 0.1, 1",
-                                  trials=2, angle_stage="oracle", seed=1))
-        for point, ratio in zip(points, (10.0, 1.0, 0.1)):
-            assert point.theory.e_cp == pytest.approx(320.0 / 3.0 * ratio, rel=1e-12)
-            assert point.theory.e_lp == pytest.approx(10.0 * ratio, rel=1e-12)
-        np.testing.assert_allclose([p.sweep_value for p in points],
+        points = _sweep(axis="pt", sweep_values="0.01, 0.1, 1", trials=2,
+                        angle_stage="oracle", seed=1)
+        for (_, spec), ratio in zip(points, (10.0, 1.0, 0.1)):
+            assert spec.theory().e_cp == pytest.approx(320.0 / 3.0 * ratio, rel=1e-12)
+            assert spec.theory().e_lp == pytest.approx(10.0 * ratio, rel=1e-12)
+        np.testing.assert_allclose([value for value, _ in points],
                                    [-20.0, -10.0, 0.0], atol=1e-12)
 
     def test_joint_power_sweep_tracks_pilot(self):
-        (point,) = run_sweep(_sweep(axis="pd", sweep_values="0.01",
-                                    trials=2, angle_stage="oracle", seed=1))
-        assert point.theory.e_cp == pytest.approx(32.0 / 0.03, rel=1e-12)
+        ((_, spec),) = _sweep(axis="pd", sweep_values="0.01", trials=2,
+                              angle_stage="oracle", seed=1)
+        assert spec.theory().e_cp == pytest.approx(32.0 / 0.03, rel=1e-12)
 
     def test_default_sweep_coverage(self):
         assert [value for value, _ in _sweep(axis="m")] == [8.0, 16.0, 32.0, 64.0]
@@ -332,16 +334,14 @@ class TestSweeps:
 
     def test_point_aggregates_expected_fields(self):
         spec = ExperimentSpec(num_trials=40, angle_stage="oracle", base_seed=12)
-        (point,) = run_sweep([(32.0, spec)])
-        assert point.sweep_value == 32.0
-        assert point.num_trials == 40
-        assert point.num_failures == 0
-        assert point.e_cp_sim > point.e_lp_sim
-        assert point.gamma_cp_sim < point.gamma_lp_sim
-        assert point.theory == spec.theory()
+        summary = summarize(spec, collect_trials(spec))
+        assert summary.num_trials == 40
+        assert summary.num_failures == 0
+        assert summary.e_cp_sim > summary.e_lp_sim
+        assert summary.gamma_cp_sim < summary.gamma_lp_sim
 
     def test_mean_snr_above_matched_filter_bound_raises(self, monkeypatch):
         monkeypatch.setattr(harness, "empirical_snr", lambda *args: 1e12)
         spec = ExperimentSpec(num_trials=3, angle_stage="oracle", base_seed=12)
         with pytest.raises(ValueError, match="matched-filter bound"):
-            run_sweep([(32.0, spec)])
+            summarize(spec, collect_trials(spec))
