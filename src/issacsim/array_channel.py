@@ -112,7 +112,8 @@ class AnglePolicy:
 
     Draws are uniform on (low, high), re-drawn until all pairwise gaps in
     the sine domain are at least ``min_sin_sep``. A non-None ``fixed`` tuple
-    short-circuits the draw with that deterministic angle list (radians).
+    short-circuits the draw with that deterministic list of distinct angles
+    (radians).
     """
 
     low: float = -np.pi / 3.0
@@ -129,7 +130,10 @@ class AnglePolicy:
             raise SpecError("min_sep", "min_sin_sep must be nonnegative")
         if self.fixed is not None:
             with blame("angle_list"):
-                object.__setattr__(self, "fixed", tuple(_check_angles(self.fixed).tolist()))
+                fixed = _check_angles(self.fixed)
+                if np.unique(fixed).size != fixed.size:
+                    raise ValueError("path angles must be pairwise distinct")
+                object.__setattr__(self, "fixed", tuple(fixed.tolist()))
 
     def check_paths(self, num_paths: int) -> None:
         """Reject num_paths < 1, a fixed list of another length, or

@@ -36,7 +36,8 @@ SWEEP_CSV_HEADER = (
     "gamma_lp_sim_db", "gamma_upper_db", "failure_rate", "trials",
 )
 
-DEFAULT_MAX_FAILURE_RATE = 0.1
+# A run whose estimation-failure rate exceeds this exits 1.
+MAX_FAILURE_RATE = 0.1
 
 # Sweep axes, each named after the config key it sweeps, with its default
 # sweep_values: transmit SNRs on the power axes, counts on the others.
@@ -114,12 +115,12 @@ _SPEC_KEYS = {
 }
 # Every key that sets a spec value, with the ExperimentSpec field (or part
 # of the angle prior) it sets, to name the keys of a SpecError's fields.
-# The sweep keys and max_failure_rate set none.
+# The sweep keys set none.
 _KEY_FIELDS = {key: field for key, (field, _) in _SPEC_KEYS.items()} | {
     "angles_deg": "angle_list", "angle_low_deg": "angle_range",
     "angle_high_deg": "angle_range", "min_sep_deg": "min_sep",
     "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var"}
-_VALID_KEYS = (*_KEY_FIELDS, "axis", "sweep_values", "max_failure_rate")
+_VALID_KEYS = (*_KEY_FIELDS, "axis", "sweep_values")
 
 
 def _parse_key(cfg: Dict[str, str], key: str, parse: Callable[[str], Any],
@@ -181,14 +182,14 @@ def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
 
 
 def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
-               ) -> Tuple[Optional[ExperimentSpec], float, Sweep]:
+               ) -> Tuple[Optional[ExperimentSpec], Sweep]:
     """ExperimentSpec from a parsed config plus CLI overrides.
 
-    Returns the spec, the failure-rate ceiling for the exit status, and the
-    sweep: its axis (None when unset) and the ``(sweep_value, spec)`` pair of
-    each point. Only the specs the command runs are built, and so checked:
-    ``sweep`` with points gets no spec, so the base value of the swept key
-    is not checked, and ``cdf`` and ``spectrum`` get no points.
+    Returns the spec and the sweep: its axis (None when unset) and the
+    ``(sweep_value, spec)`` pair of each point. Only the specs the command
+    runs are built, and so checked: ``sweep`` with points gets no spec, so
+    the base value of the swept key is not checked, and ``cdf`` and
+    ``spectrum`` get no points.
     """
     kwargs: Dict[str, object] = {
         field: _parse_key(cfg, key, parse)
@@ -233,9 +234,6 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
     point_sources = dict.fromkeys(keys, sources.get("sweep_values", sources.get("axis"))) | {
         key: text for key, text in sources.items() if key not in keys}
 
-    ceiling = _parse_key(cfg, "max_failure_rate", float, DEFAULT_MAX_FAILURE_RATE)
-    if not 0.0 <= ceiling <= 1.0:
-        raise ValueError(f"max_failure_rate must lie in [0, 1], got {ceiling}")
     try:
         kwargs["angle_policy"] = _angle_policy_from(cfg)
         command = flags.get("command")
@@ -251,7 +249,7 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
         named = ", ".join(text for key, text in sources.items()
                           if _KEY_FIELDS.get(key) in exc.fields)
         raise ValueError(f"{named}: {exc}" if named else str(exc)) from None
-    return spec, ceiling, (axis, points)
+    return spec, (axis, points)
 
 
 def _fmt(value: float) -> str:
@@ -269,7 +267,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _cmd_sweep(sweep: Sweep, ceiling: float, args: argparse.Namespace) -> int:
+def _cmd_sweep(sweep: Sweep, args: argparse.Namespace) -> int:
     axis, points = sweep
     if axis is None:
         raise ValueError(f"sweep needs an axis; set axis or --axis to one of {', '.join(_AXES)}")
@@ -286,10 +284,10 @@ def _cmd_sweep(sweep: Sweep, ceiling: float, args: argparse.Namespace) -> int:
               f"e_lp={s.e_lp_sim:.4g} (theory {t.e_lp:.4g}), "
               f"failures={s.num_failures}/{s.num_trials}")
     print(f"wrote {args.out}")
-    return 0 if max(s.failure_rate for _, _, s in runs) <= ceiling else 1
+    return 0 if max(s.failure_rate for _, _, s in runs) <= MAX_FAILURE_RATE else 1
 
 
-def _cmd_cdf(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
+def _cmd_cdf(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     if spec.noise_var == 0:
         raise ValueError("cdf needs sigma2 > 0: with sigma2 = 0 every receive SNR is infinite")
     trials = collect_trials(spec)
@@ -317,10 +315,10 @@ def _cmd_cdf(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> 
           f"issac {_to_db(lp.percentiles[90.0]):.2f} dB "
           f"({summary.num_failures}/{summary.num_trials} trials failed)")
     print(f"wrote {args.out}")
-    return 0 if summary.failure_rate <= ceiling else 1
+    return 0 if summary.failure_rate <= MAX_FAILURE_RATE else 1
 
 
-def _cmd_spectrum(spec: ExperimentSpec, ceiling: float, args: argparse.Namespace) -> int:
+def _cmd_spectrum(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     _, _, block = draw_realization(spec, 0)
     grid = spec.angle_grid
     peaks = scan_angles(block, spec.num_paths, grid, spec.plan)
@@ -376,9 +374,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        spec, ceiling, sweep = build_spec(load_run_config(args.config), args)
+        spec, sweep = build_spec(load_run_config(args.config), args)
         # sweep runs the points of the sweep; cdf and spectrum run the spec.
-        return args.func(sweep if args.command == "sweep" else spec, ceiling, args)
+        return args.func(sweep if args.command == "sweep" else spec, args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

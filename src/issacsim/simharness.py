@@ -3,14 +3,16 @@
 Each trial draws a fresh channel and received block from a stream derived
 only from (base_seed, trial_index), runs both estimators on the identical
 block, and records squared errors and realized receive SNRs. Trials are
-therefore independent of execution order.
+therefore independent of execution order. The trials of a spec are one
+numpy record array, and the summary and CDFs reduce its columns.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .subspace import ScanGrid, SubarrayPlan, make_angle_grid, scan_angles
 
 __all__ = [
     "ExperimentSpec",
-    "TrialResult",
     "PointSummary",
     "CdfSeries",
     "run_trial",
@@ -162,23 +163,18 @@ class ExperimentSpec:
             self.noise_var, self.data_pow)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one paired trial.
+@functools.lru_cache(maxsize=None)
+def _trial_dtype(num_paths: int) -> np.dtype:
+    """Record dtype of one paired trial with ``num_paths`` angle errors.
 
     A failed trial keeps its conventional fields and leaves the issac ones
-    at nan. ``angle_errors`` is None when no angles were estimated: oracle
-    runs and failed scans.
+    at nan. ``angle_errors`` is all nan when no angles were estimated:
+    oracle runs and failed scans.
     """
-
-    h_norm_sq: float
-    sq_error_cp: float
-    snr_cp: float
-    sq_error_lp: float
-    snr_lp: float
-    angle_errors: Optional[np.ndarray]
-    failed: bool
-    failure_reason: str
+    return np.dtype((np.record, [
+        ("h_norm_sq", float), ("sq_error_cp", float), ("snr_cp", float),
+        ("sq_error_lp", float), ("snr_lp", float), ("angle_errors", float, (num_paths,)),
+        ("failed", bool), ("failure_reason", object)]))
 
 
 def _trial_rngs(spec: ExperimentSpec, trial_index: int):
@@ -205,8 +201,8 @@ def draw_realization(spec: ExperimentSpec, trial_index: int
     return paths, h, block
 
 
-def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
-    """One paired trial: both estimators on the identical received block.
+def run_trial(spec: ExperimentSpec, trial_index: int) -> np.record:
+    """One paired trial, as a record: both estimators on the identical received block.
 
     Estimation failures (missing spectral peaks, collided angles) set the
     failure flag instead of raising, so batch runs always complete.
@@ -218,8 +214,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     sq_error_cp = float(np.linalg.norm(h_cp - h) ** 2)
     snr_cp = empirical_snr(mrc_beamformer(h_cp), h, spec.data_pow, spec.noise_var)
 
-    angle_errors = None
-    sq_error_lp = snr_lp = float("nan")
+    angle_errors = sq_error_lp = snr_lp = float("nan")
     failed, failure_reason = False, ""
     try:
         if spec.angle_stage == "oracle":
@@ -233,21 +228,14 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     except EstimationError as exc:
         failed, failure_reason = True, str(exc)
 
-    return TrialResult(
-        h_norm_sq=h_norm_sq,
-        sq_error_cp=sq_error_cp,
-        snr_cp=snr_cp,
-        sq_error_lp=sq_error_lp,
-        snr_lp=snr_lp,
-        angle_errors=angle_errors,
-        failed=failed,
-        failure_reason=failure_reason,
-    )
+    return np.array((h_norm_sq, sq_error_cp, snr_cp, sq_error_lp, snr_lp, angle_errors,
+                     failed, failure_reason), _trial_dtype(spec.num_paths))[()]
 
 
-def collect_trials(spec: ExperimentSpec) -> List[TrialResult]:
-    """All trials of the spec, in trial-index order."""
-    return [run_trial(spec, i) for i in range(spec.num_trials)]
+def collect_trials(spec: ExperimentSpec) -> np.recarray:
+    """All trials of the spec, one record per trial index, as columns."""
+    return np.array([run_trial(spec, i) for i in range(spec.num_trials)],
+                    _trial_dtype(spec.num_paths)).view(np.recarray)
 
 
 def nrmse(sq_errors: Sequence[float], h_norms_sq: Sequence[float]) -> float:
@@ -292,15 +280,12 @@ def empirical_cdf(values: Sequence[float]) -> CdfSeries:
                      percentiles={90.0: float(np.percentile(ordered, 90.0))})
 
 
-def snr_cdfs(trials: Sequence[TrialResult]) -> Dict[str, CdfSeries]:
+def snr_cdfs(trials: np.recarray) -> Dict[str, CdfSeries]:
     """Receive-SNR CDFs of both methods over the non-failed trials."""
-    ok = [t for t in trials if not t.failed]
-    if not ok:
+    ok = trials[~trials.failed]
+    if not ok.size:
         raise ValueError("all trials failed; no CDF to report")
-    return {
-        "conventional": empirical_cdf([t.snr_cp for t in ok]),
-        "issac": empirical_cdf([t.snr_lp for t in ok]),
-    }
+    return {"conventional": empirical_cdf(ok.snr_cp), "issac": empirical_cdf(ok.snr_lp)}
 
 
 @dataclass(frozen=True)
@@ -325,23 +310,24 @@ class PointSummary:
         return self.num_failures / self.num_trials
 
 
-def summarize(spec: ExperimentSpec, trials: Sequence[TrialResult]) -> PointSummary:
+def summarize(spec: ExperimentSpec, trials: np.recarray) -> PointSummary:
     """Means, NRMSEs and failure counts of the spec's trials.
 
     Raises ValueError when a mean receive SNR beats the matched filter.
     """
-    ok = [t for t in trials if not t.failed]
+    ok = trials[~trials.failed]
     e_cp_sim = e_lp_sim = nrmse_cp = nrmse_lp = gamma_cp = gamma_lp = float("nan")
-    if ok:
-        sq_cp = np.array([t.sq_error_cp for t in ok])
-        sq_lp = np.array([t.sq_error_lp for t in ok])
-        h_norms = np.array([t.h_norm_sq for t in ok])
+    if ok.size:
+        # Contiguous copies: numpy sums a strided column in blocks of 8192,
+        # which rounds past 8192 trials unlike the whole-array pairwise sum.
+        sq_cp, sq_lp, h_norms, snr_cp, snr_lp = (np.ascontiguousarray(ok[name]) for name in (
+            "sq_error_cp", "sq_error_lp", "h_norm_sq", "snr_cp", "snr_lp"))
         e_cp_sim = float(sq_cp.mean())
         e_lp_sim = float(sq_lp.mean())
         nrmse_cp = nrmse(sq_cp, h_norms)
         nrmse_lp = nrmse(sq_lp, h_norms)
-        gamma_cp = float(np.mean([t.snr_cp for t in ok]))
-        gamma_lp = float(np.mean([t.snr_lp for t in ok]))
+        gamma_cp = float(snr_cp.mean())
+        gamma_lp = float(snr_lp.mean())
         # No combiner beats the matched filter: a mean SNR above the mean
         # bound data_pow * |h|^2 / noise_var is a bug, not a result.
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -77,7 +77,7 @@ class TestConfigParsing:
             min_sep_deg = 6
             gain_policy = unit
         """)
-        spec, ceiling, sweep = build_spec(load_run_config(cfg_path))
+        spec, sweep = build_spec(load_run_config(cfg_path))
         assert sweep == (None, ())
         assert spec.num_antennas == 16
         assert spec.num_paths == 2
@@ -90,7 +90,6 @@ class TestConfigParsing:
         assert spec.angle_stage == "oracle"
         assert spec.gain_policy == "unit"
         assert spec.angle_policy.min_sin_sep == pytest.approx(np.sin(np.deg2rad(6.0)))
-        assert ceiling == pytest.approx(0.1)
 
     def test_fixed_angles_config(self, tmp_path):
         cfg_path = _write(tmp_path, "run.cfg", "l = 3\nangles_deg = -30, 0, 30\n")
@@ -98,10 +97,11 @@ class TestConfigParsing:
         np.testing.assert_allclose(np.rad2deg(spec.angle_policy.fixed),
                                    [-30.0, 0.0, 30.0], atol=1e-12)
 
-    # angle_hold_trials, subarrays and pt_tracks_pd were run knobs once;
-    # a config that still sets one fails instead of running without it.
+    # angle_hold_trials, subarrays, pt_tracks_pd and max_failure_rate were
+    # run knobs once; a config that still sets one fails instead of running
+    # without it.
     @pytest.mark.parametrize("key", ["antennas", "angle_hold_trials", "subarrays",
-                                     "pt_tracks_pd"])
+                                     "pt_tracks_pd", "max_failure_rate"])
     def test_unknown_key_rejected(self, tmp_path, capsys, key):
         cfg_path = _write(tmp_path, "run.cfg", f"{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
@@ -143,7 +143,7 @@ class TestConfigParsing:
         # Transmit SNRs scaled by sigma2 into powers; rows report them in dB.
         cfg_path = _write(tmp_path, "run.cfg",
                           "axis = pt\nsigma2 = 2\nsweep_values = -20 dB, -10 dB, 0 dB\n")
-        spec, _, (axis, points) = build_spec(load_run_config(cfg_path))
+        spec, (axis, points) = build_spec(load_run_config(cfg_path))
         assert axis == "pt"
         np.testing.assert_allclose([p.pilot_pow for _, p in points], [0.02, 0.2, 2.0],
                                    rtol=1e-12)
@@ -153,7 +153,7 @@ class TestConfigParsing:
 
     def test_sweep_values_count_axis(self, tmp_path):
         cfg_path = _write(tmp_path, "run.cfg", "axis = m\nsweep_values = 8, 16\n")
-        _, _, (_, points) = build_spec(load_run_config(cfg_path))
+        _, (_, points) = build_spec(load_run_config(cfg_path))
         assert [value for value, _ in points] == [8.0, 16.0]
         assert [p.num_antennas for _, p in points] == [8, 16]
 
@@ -165,15 +165,6 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             "error: sweep_values given with no sweep axis; set axis to one of m, pt, pd, rho\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
-    def test_failure_ceiling_out_of_range_exits_2(self, tmp_path, capsys, value):
-        cfg_path = _write(tmp_path, "run.cfg", f"max_failure_rate = {value}\n")
-        code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
-                     "--trials", "1", "--oracle-angles"])
-        assert code == 2
-        assert "max_failure_rate" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("m = abc\n", "error: m = 'abc': invalid literal for int()"),
@@ -263,6 +254,9 @@ class TestConfigParsing:
         # A fixed list makes the parser ignore the range keys: not named.
         ("angles_deg = -30, 0\nangle_low_deg = -10\nangle_high_deg = 10\nl = 3\n", [],
          "error: l = '3', angles_deg = '-30, 0': policy fixes 2 angles but 3 paths requested"),
+        # Found when the spec is built, not at the first trial's draw.
+        ("angles_deg = 0, 0, 1\nl = 3\n", [],
+         "error: angles_deg = '0, 0, 1': path angles must be pairwise distinct"),
         ("l = 3\nmin_sep_deg = 60\n", [],
          "error: l = '3', min_sep_deg = '60': 3 angles with sine separation >= 0.8660 "
          "do not fit in the sine range 1.7321; it is infeasible"),
@@ -284,7 +278,7 @@ class TestConfigParsing:
             "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
             "zero_data_len", "small_array", "more_paths_than_antennas", "coarse_grid",
             "unknown_gain_policy", "fixed_angle_count",
-            "fixed_angle_count_beside_range", "infeasible_min_sep",
+            "fixed_angle_count_beside_range", "repeated_fixed_angle", "infeasible_min_sep",
             "infeasible_min_sep_in_range", "nan_min_sep", "infinite_min_sep",
             "folded_min_sep"])
     def test_bad_spec_value_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
@@ -316,7 +310,7 @@ class TestSweepCommand:
         header, rows = _read_csv(out)
         assert tuple(header) == SWEEP_CSV_HEADER
         assert len(rows) == 4
-        _, _, (_, points) = build_spec(
+        _, (_, points) = build_spec(
             {"axis": "m", "trials": "25", "seed": "5", "angle_stage": "oracle"})
         db = lambda value: 10.0 * np.log10(value)  # noqa: E731
         for row, (value, spec) in zip(rows, points):
@@ -379,8 +373,6 @@ class TestSweepCommand:
         args = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
                 "--axis", "m", "--trials", "2"]
         assert main(args) == 1
-        cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\nmax_failure_rate = 1\n")
-        assert main(args) == 0
 
     @pytest.mark.parametrize("axis", ["pt", "pd"])
     def test_noiseless_power_sweep_runs(self, tmp_path, axis):
@@ -413,7 +405,7 @@ class TestSweepCommand:
     def test_swept_key_base_value_blocks_only_the_base_point(self, tmp_path, capsys,
                                                              monkeypatch):
         # m = 4 cannot smooth 3 paths, but every point of an m sweep sets m.
-        cfg_path = _write(tmp_path, "run.cfg", "m = 4\nl = 3\naxis = m\nmax_failure_rate = 1\n")
+        cfg_path = _write(tmp_path, "run.cfg", "m = 4\nl = 3\naxis = m\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(out), "--trials", "1"]) == 0
         _, rows = _read_csv(out)

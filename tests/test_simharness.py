@@ -28,7 +28,22 @@ FIXED_ANGLES = AnglePolicy(fixed=tuple(np.deg2rad([-30.0, 0.0, 30.0])))
 
 def _sweep(**cfg):
     """The (sweep_value, spec) points the CLI builds from config keys."""
-    return build_spec({key: str(value) for key, value in cfg.items()})[2][1]
+    return build_spec({key: str(value) for key, value in cfg.items()})[1][1]
+
+
+def _fail_every_third_scan(monkeypatch):
+    """Make every third angle scan raise; returns the scan counter."""
+    calls = {"n": 0}
+    real_scan = harness.scan_angles
+
+    def flaky_scan(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] % 3 == 0:
+            raise EstimationError("injected peak failure")
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "scan_angles", flaky_scan)
+    return calls
 
 
 class TestSpecValidation:
@@ -197,16 +212,7 @@ class TestRunTrial:
 
 class TestFailureAccounting:
     def test_failed_trials_flagged_and_excluded(self, monkeypatch):
-        calls = {"n": 0}
-        real_scan = harness.scan_angles
-
-        def flaky_scan(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise EstimationError("injected peak failure")
-            return real_scan(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "scan_angles", flaky_scan)
+        _fail_every_third_scan(monkeypatch)
         spec = ExperimentSpec(angle_policy=FIXED_ANGLES, num_trials=9, base_seed=2)
         trials = collect_trials(spec)
         summary = summarize(spec, trials)
@@ -218,6 +224,57 @@ class TestFailureAccounting:
         assert all(np.isnan(t.sq_error_lp) for t in flagged)
         # conventional side of a failed trial still completed
         assert all(np.isfinite(t.sq_error_cp) for t in flagged)
+
+
+class TestTrialColumns:
+    @pytest.mark.parametrize("angle_stage", ["estimated", "oracle"])
+    def test_columns_equal_records(self, monkeypatch, angle_stage):
+        calls = _fail_every_third_scan(monkeypatch)
+        spec = ExperimentSpec(angle_policy=FIXED_ANGLES, num_trials=7, base_seed=2,
+                              angle_stage=angle_stage)
+        trials = collect_trials(spec)
+        # The scan of trial i is call i + 1, so trials 2 and 5 fail; oracle
+        # trials scan nothing.
+        failing = [2, 5] if angle_stage == "estimated" else []
+        calls["n"] = 0
+        records = [run_trial(spec, i) for i in range(spec.num_trials)]
+        assert isinstance(trials, np.recarray) and len(trials) == 7
+        assert trials.angle_errors.shape == (7, 3)
+        for name in trials.dtype.names:
+            column = trials[name]
+            expected = np.array([getattr(record, name) for record in records])
+            if column.dtype.kind == "f":  # bit for bit, nan included
+                assert column.tobytes() == expected.tobytes(), name
+            else:
+                assert column.tolist() == expected.tolist(), name
+        np.testing.assert_array_equal(trials.failed, trials.failure_reason != "")
+        assert np.flatnonzero(trials.failed).tolist() == failing
+        # No angles were estimated: an all-nan row; estimated rows are finite.
+        estimated = np.zeros(7, bool) if angle_stage == "oracle" else ~trials.failed
+        assert np.isnan(trials.angle_errors[~estimated]).all()
+        assert np.isfinite(trials.angle_errors[estimated]).all()
+
+    def test_summary_means_match_whole_array_sums(self):
+        # Past 8192 trials numpy sums a strided column in blocks, which
+        # rounds differently; the summary must agree with contiguous sums.
+        # Heavy-tailed values, so that the two summation orders round apart.
+        rng = np.random.default_rng(5)
+        n = 20000
+        trials = np.zeros(n, harness._trial_dtype(3)).view(np.recarray)
+        for name in ("h_norm_sq", "sq_error_cp", "sq_error_lp", "snr_cp", "snr_lp"):
+            trials[name] = rng.lognormal(0.0, 3.0, n)
+        trials.failed[::10] = True
+        # data_pow puts the matched-filter bound far above the drawn SNRs.
+        summary = summarize(ExperimentSpec(data_pow=100.0), trials)
+        assert summary.num_trials == n and summary.num_failures == n // 10
+        ok = {name: np.array(trials[name][~trials.failed].tolist())
+              for name in ("h_norm_sq", "sq_error_cp", "sq_error_lp", "snr_cp", "snr_lp")}
+        assert summary.e_cp_sim == ok["sq_error_cp"].mean()
+        assert summary.e_lp_sim == ok["sq_error_lp"].mean()
+        assert summary.gamma_cp_sim == ok["snr_cp"].mean()
+        assert summary.gamma_lp_sim == ok["snr_lp"].mean()
+        assert summary.nrmse_cp == nrmse(ok["sq_error_cp"], ok["h_norm_sq"])
+        assert summary.nrmse_lp == nrmse(ok["sq_error_lp"], ok["h_norm_sq"])
 
 
 class TestNrmse:
