@@ -97,11 +97,10 @@ class TestConfigParsing:
         np.testing.assert_allclose(np.rad2deg(spec.angle_policy.fixed),
                                    [-30.0, 0.0, 30.0], atol=1e-12)
 
-    # angle_hold_trials, subarrays, pt_tracks_pd and max_failure_rate were
-    # run knobs once; a config that still sets one fails instead of running
-    # without it.
+    # angle_hold_trials, subarrays and pt_tracks_pd were run knobs once; a
+    # config that still sets one fails instead of running without it.
     @pytest.mark.parametrize("key", ["antennas", "angle_hold_trials", "subarrays",
-                                     "pt_tracks_pd", "max_failure_rate"])
+                                     "pt_tracks_pd"])
     def test_unknown_key_rejected(self, tmp_path, capsys, key):
         cfg_path = _write(tmp_path, "run.cfg", f"{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
@@ -111,6 +110,19 @@ class TestConfigParsing:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg_path}:1: unknown key '{key}'")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    # The failure ceiling is the constant cli.MAX_FAILURE_RATE; a config that
+    # still sets max_failure_rate, in range or not, exits 2 naming the key.
+    @pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
+    def test_failure_ceiling_out_of_range_exits_2(self, tmp_path, capsys, value):
+        cfg_path = _write(tmp_path, "run.cfg", f"max_failure_rate = {value}\n")
+        code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                     "--trials", "1", "--oracle-angles"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}:1: unknown key 'max_failure_rate'")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "x.csv").exists()
 
