@@ -10,7 +10,7 @@ pure and its outputs are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,15 +57,24 @@ def _check_angles(angles) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UlaGeometry:
-    """Uniform linear array with implicit half-wavelength element spacing."""
+    """Uniform linear array with implicit half-wavelength element spacing.
+
+    ``positions`` holds the element positions 0 .. M - 1 in half
+    wavelengths, read-only. Building it allocates the first array of size M,
+    so a size no machine can hold fails here and not at a later draw.
+    """
 
     num_antennas: int
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.num_antennas
         if int(m) != m or m < 1:
             raise ValueError("num_antennas must be a positive integer")
+        positions = np.arange(int(m))
+        positions.setflags(write=False)
         object.__setattr__(self, "num_antennas", int(m))
+        object.__setattr__(self, "positions", positions)
 
 
 def steering_matrix(geom: UlaGeometry, angles: Sequence[float]) -> np.ndarray:
@@ -77,8 +86,7 @@ def steering_matrix(geom: UlaGeometry, angles: Sequence[float]) -> np.ndarray:
     angles = _check_angles(np.atleast_1d(angles))
     if angles.ndim != 1:
         raise ValueError("angles must be one-dimensional")
-    m = np.arange(geom.num_antennas)[:, None]
-    return np.exp(1j * np.pi * m * np.sin(angles)[None, :])
+    return np.exp(1j * np.pi * geom.positions[:, None] * np.sin(angles)[None, :])
 
 
 @dataclass(frozen=True)
@@ -225,25 +233,33 @@ def generate_pilot_sequence(pilot_len: int) -> np.ndarray:
 class ReceivedBlock:
     """One coherence block of observations at the array.
 
-    ``pilot_obs`` is M x pilot_len, ``data_obs`` is M x data_len.
+    ``pilot_obs`` is M x pilot_len. The ``data_len`` data snapshots D are
+    held only through their M x M Gram ``data_gram`` = D D^H, which is all
+    the angle stage reads of them; it is None when the data part of the
+    block was not drawn.
     """
 
     pilot_obs: np.ndarray
-    data_obs: np.ndarray
+    data_gram: Optional[np.ndarray]
+    data_len: int
     pilot_seq: np.ndarray
 
     def __post_init__(self):
         pilot_obs = np.asarray(self.pilot_obs, dtype=np.complex128)
-        data_obs = np.asarray(self.data_obs, dtype=np.complex128)
         pilot_seq = np.asarray(self.pilot_seq, dtype=np.complex128)
-        if pilot_obs.ndim != 2 or data_obs.ndim != 2:
-            raise ValueError("observation matrices must be two-dimensional")
-        if pilot_obs.shape[0] != data_obs.shape[0]:
-            raise ValueError("pilot and data observations disagree on antenna count")
+        if pilot_obs.ndim != 2:
+            raise ValueError("pilot observations must be two-dimensional")
         if pilot_seq.shape != (pilot_obs.shape[1],):
             raise ValueError("pilot_seq length must match pilot_obs columns")
+        if int(self.data_len) != self.data_len or self.data_len < 0:
+            raise ValueError("data_len must be a nonnegative integer")
+        if self.data_gram is not None:
+            data_gram = np.asarray(self.data_gram, dtype=np.complex128)
+            if data_gram.shape != (pilot_obs.shape[0],) * 2:
+                raise ValueError("data_gram must be M x M for the M rows of pilot_obs")
+            object.__setattr__(self, "data_gram", data_gram)
         object.__setattr__(self, "pilot_obs", pilot_obs)
-        object.__setattr__(self, "data_obs", data_obs)
+        object.__setattr__(self, "data_len", int(self.data_len))
         object.__setattr__(self, "pilot_seq", pilot_seq)
 
     @property
@@ -255,22 +271,29 @@ class ReceivedBlock:
         return self.pilot_obs.shape[1]
 
     @property
-    def data_len(self) -> int:
-        return self.data_obs.shape[1]
-
-    @property
     def num_snapshots(self) -> int:
         return self.pilot_len + self.data_len
 
 
-def simulate_reception(h: np.ndarray, config: TransmissionConfig,
-                       pilot_seq: np.ndarray, rng: np.random.Generator) -> ReceivedBlock:
+def simulate_reception(h: np.ndarray, config: TransmissionConfig, pilot_seq: np.ndarray,
+                       rng: np.random.Generator, data: bool = True) -> ReceivedBlock:
     """Generate one received block for channel ``h``.
 
-    Pilot columns are sqrt(Pt)*h*phi(n) plus noise; data columns are
-    sqrt(Pd)*h*s(n) plus noise with s(n) drawn CN(0, 1). Draw order is
-    fixed (data symbols, pilot noise, data noise) so a seeded generator
-    reproduces the block bit for bit.
+    Pilot columns are sqrt(Pt)*h*phi(n) plus CN(0, sigma^2) noise. The data
+    columns D = sqrt(Pd)*h*s^T + N, with s drawn CN(0, 1), enter the block
+    as their Gram, drawn without the columns: splitting N along s* and its
+    complement gives D D^H = v v^H + T T^H with v = sqrt(Pd)*||s||*h + z,
+    z ~ CN(0, sigma^2 I), and T T^H complex Wishart(M, data_len - 1,
+    sigma^2 I) in its Bartlett decomposition (Goodman 1963): T is M x r
+    lower-trapezoidal, r = min(M, data_len - 1), with |T_ii|^2 ~ sigma^2
+    Gamma(data_len - 1 - i) and CN(0, sigma^2) entries below the diagonal.
+    Past the data symbols, the draw's cost does not grow with data_len.
+
+    Draw order is fixed (data symbols, pilot noise, then z with T's entries
+    below the diagonal, then T's diagonal) so a seeded generator reproduces
+    the block bit for bit. With ``data`` false the draw stops after the
+    pilot noise, so every pilot-side number is the same, and ``data_gram``
+    is None.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1:
@@ -281,7 +304,18 @@ def simulate_reception(h: np.ndarray, config: TransmissionConfig,
     num_antennas = h.size
     data_syms = complex_normal(rng, config.data_len)
     pilot_noise = complex_normal(rng, (num_antennas, config.pilot_len), var=config.noise_var)
-    data_noise = complex_normal(rng, (num_antennas, config.data_len), var=config.noise_var)
     pilot_obs = np.sqrt(config.pilot_power) * np.outer(h, pilot_seq) + pilot_noise
-    data_obs = np.sqrt(config.data_power) * np.outer(h, data_syms) + data_noise
-    return ReceivedBlock(pilot_obs=pilot_obs, data_obs=data_obs, pilot_seq=pilot_seq)
+    data_gram = None
+    if data:
+        dof = config.data_len - 1
+        rank = min(num_antennas, dof)
+        # [v | T]: column 0 and the entries below T's diagonal are Gaussian.
+        factor = np.zeros((num_antennas, rank + 1), dtype=np.complex128)
+        gaussian = np.tri(num_antennas, rank + 1, dtype=bool)
+        factor[gaussian] = complex_normal(rng, np.count_nonzero(gaussian), var=config.noise_var)
+        factor[:, 0] += math.sqrt(config.data_power * np.vdot(data_syms, data_syms).real) * h
+        np.fill_diagonal(factor[:, 1:],
+                         np.sqrt(config.noise_var * rng.standard_gamma(dof - np.arange(rank))))
+        data_gram = factor @ factor.conj().T
+    return ReceivedBlock(pilot_obs=pilot_obs, data_gram=data_gram,
+                         data_len=config.data_len, pilot_seq=pilot_seq)

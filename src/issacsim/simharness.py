@@ -190,14 +190,17 @@ def draw_realization(spec: ExperimentSpec, trial_index: int
     """Channel and received block for one trial, fully seed-determined.
 
     Angles come from one stream, gains and noise from another, both keyed
-    by the trial index.
+    by the trial index. An oracle spec's block stops after the pilot noise,
+    since nothing reads its data part; every number it holds is the same as
+    in an estimated spec's block of that seed.
     """
     rng_angles, rng_trial = _trial_rngs(spec, trial_index)
     angles = sample_angles(spec.num_paths, rng_angles, spec.angle_policy)
     gains = sample_gains(spec.num_paths, rng_trial, spec.gain_policy)
     paths = PathSet(angles=angles, gains=gains)
     h = synthesize_channel(spec.geometry, paths)
-    block = simulate_reception(h, spec.transmission, spec.pilot_seq, rng_trial)
+    block = simulate_reception(h, spec.transmission, spec.pilot_seq, rng_trial,
+                               data=spec.angle_stage == "estimated")
     return paths, h, block
 
 

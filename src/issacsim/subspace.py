@@ -37,10 +37,14 @@ __all__ = [
 _HERMITIAN_TOL = 1e-10
 # Floors the MUSIC denominator so exactly-orthogonal grid points stay finite.
 _MUSIC_FLOOR = 1e-12
-# Newton steps per spectral peak. From a sample of a 0.5 deg grid most
+# At most this many Newton steps per spectral peak. From a sample of a 0.5 deg grid most
 # peaks are within rounding of their maximum after four; one whose first
 # step overshoots to the edge of its bracket can take six.
 _NEWTON_STEPS = 6
+# The steps stop early once no peak moved by more than this in
+# u = sin(theta), about 6e-8 deg: Newton's quadratic convergence puts the
+# next step below rounding.
+_NEWTON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,12 +80,14 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
 
 
 def sample_covariance(block: ReceivedBlock) -> SampleCovariance:
-    """Average outer products of all pilot and data snapshots."""
+    """Average outer products of all pilot and data snapshots: the pilot
+    columns' plus the block's data Gram."""
+    if block.data_gram is None:
+        raise ValueError("block holds no data Gram: its data part was not drawn")
     n = block.num_snapshots
     if n < 1:
         raise ValueError("block holds no snapshots")
-    acc = block.pilot_obs @ block.pilot_obs.conj().T
-    acc = acc + block.data_obs @ block.data_obs.conj().T
+    acc = block.pilot_obs @ block.pilot_obs.conj().T + block.data_gram
     return SampleCovariance._built(_symmetrize(acc / n), n)
 
 
@@ -305,9 +311,10 @@ def _newton_peaks(sums: np.ndarray, grid: ScanGrid, idx: np.ndarray):
     f(u) = c_0 + 2 Re sum_k c_k exp(j pi k u), one per peak sample.
 
     A step is taken only where f'' < 0 and is clipped to the bracket
-    [u[idx - 1], u[idx + 1]]. Returns the refined u and f there, as
-    evaluated before the last step, which moves a converged peak by
-    rounding only.
+    [u[idx - 1], u[idx + 1]]. The steps stop after ``_NEWTON_STEPS``, or
+    once none moved a peak by more than ``_NEWTON_TOL``. Returns the refined
+    u and f there, as evaluated before the last step, which moves a
+    converged peak by rounding only.
     """
     # With the sums folded into the Newton factors, the real part of
     # exp(j pi k u) @ weights is f(u) - c_0, f'(u) and f''(u).
@@ -318,8 +325,12 @@ def _newton_peaks(sums: np.ndarray, grid: ScanGrid, idx: np.ndarray):
         derivatives = (np.exp(u[:, None] * phase) @ weights).real
         curvature = derivatives[:, 2]
         # An infinite divisor leaves a peak where f'' >= 0 in place.
-        u = np.minimum(np.maximum(
+        stepped = np.minimum(np.maximum(
             u - derivatives[:, 1] / np.where(curvature < 0, curvature, np.inf), low), high)
+        moved = np.abs(stepped - u).max()
+        u = stepped
+        if moved <= _NEWTON_TOL:
+            break
     return u, sums[0].real + derivatives[:, 0]
 
 
@@ -327,7 +338,7 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
     """The ``num_peaks`` highest maxima of a pseudospectrum.
 
     The 2 * num_peaks highest local maxima of the samples are candidates;
-    ties between equal samples break toward the smaller angle.
+    ties between equal samples break toward the smaller angle. Up to
     ``_NEWTON_STEPS`` safeguarded Newton steps on the spectrum's polynomial
     f move each candidate off the grid, and the num_peaks candidates with
     the highest refined f are kept. Raises EstimationError when the

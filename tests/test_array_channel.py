@@ -212,7 +212,7 @@ class TestSimulateReception:
         for n in range(2):
             np.testing.assert_allclose(block.pilot_obs[:, n], 2.0 * h, atol=1e-12)
 
-    def test_noiseless_data_columns_recover_channel(self):
+    def test_noiseless_data_gram(self):
         geom = UlaGeometry(3)
         h = synthesize_channel(geom, PathSet(angles=[-0.4], gains=[0.3 + 1j]))
         config = self._config(data_power=9.0)
@@ -220,9 +220,30 @@ class TestSimulateReception:
                                    np.random.default_rng(1))
         # the data symbols are the generator's first draw
         data_syms = complex_normal(np.random.default_rng(1), config.data_len)
-        for n in range(config.data_len):
-            recovered = block.data_obs[:, n] / (3.0 * data_syms[n])
-            np.testing.assert_allclose(recovered, h, atol=1e-12)
+        expected = 9.0 * np.vdot(data_syms, data_syms).real * np.outer(h, h.conj())
+        np.testing.assert_allclose(block.data_gram, expected, rtol=0, atol=1e-12)
+        assert block.data_len == config.data_len and block.num_snapshots == 5
+
+    def test_short_block_gram_rank_one(self):
+        # data_len = 1 leaves no noise orthogonal to s*: the Gram is v v^H.
+        h = synthesize_channel(UlaGeometry(6), PathSet(angles=[0.5], gains=[1.0]))
+        config = self._config(data_len=1, noise_var=1.0)
+        block = simulate_reception(h, config, generate_pilot_sequence(2),
+                                   np.random.default_rng(5))
+        eigvals = np.linalg.eigvalsh(block.data_gram)
+        assert eigvals[-1] > 0
+        assert np.all(np.abs(eigvals[:-1]) <= 1e-12 * eigvals[-1])
+
+    def test_block_without_data_keeps_pilot_side(self):
+        # data=False stops after the pilot noise: same pilots, no Gram.
+        h = synthesize_channel(UlaGeometry(4), PathSet(angles=[0.1], gains=[1.0]))
+        config = self._config(noise_var=1.0)
+        full, pilots_only = (simulate_reception(h, config, generate_pilot_sequence(2),
+                                                np.random.default_rng(11), data=data)
+                             for data in (True, False))
+        assert pilots_only.data_gram is None
+        assert pilots_only.data_len == config.data_len
+        np.testing.assert_array_equal(pilots_only.pilot_obs, full.pilot_obs)
 
     def test_noise_moments_on_zero_channel(self):
         # with h = 0 the pilot observations are pure CN(0, 1) noise
@@ -243,7 +264,7 @@ class TestSimulateReception:
         two = simulate_reception(h, config, generate_pilot_sequence(2),
                                  np.random.default_rng(11))
         np.testing.assert_array_equal(one.pilot_obs, two.pilot_obs)
-        np.testing.assert_array_equal(one.data_obs, two.data_obs)
+        np.testing.assert_array_equal(one.data_gram, two.data_gram)
 
     def test_dimension_mismatch_rejected(self):
         config = self._config()
@@ -251,6 +272,51 @@ class TestSimulateReception:
             simulate_reception(np.ones(4, dtype=complex), config,
                                generate_pilot_sequence(3),
                                np.random.default_rng(0))
+
+
+class TestDataGramDistribution:
+    """The drawn data Gram against D D^H of drawn data columns D."""
+
+    DRAWS = 20_000
+    CHUNK = 500
+    # Each statistic's two means may differ by at most this many standard
+    # errors of their difference.
+    MAX_SE = 4.0
+
+    @staticmethod
+    def _stats(grams, m, kappa):
+        """Per-draw trace, R_00, |R_0,M-1|^2 and the extreme nonzero eigenvalues."""
+        eigvals = np.linalg.eigvalsh(grams)
+        return np.stack([np.trace(grams, axis1=1, axis2=2).real, grams[:, 0, 0].real,
+                         np.abs(grams[:, 0, m - 1]) ** 2,
+                         eigvals[:, max(0, m - kappa)], eigvals[:, -1]])
+
+    @pytest.mark.parametrize("m, kappa", [(32, 97), (8, 4)])
+    def test_moments_match_sample_path(self, m, kappa):
+        # (32, 97) draws T square (kappa - 1 >= M), (8, 4) trapezoidal.
+        h = synthesize_channel(UlaGeometry(m), PathSet(angles=[0.3], gains=[1.0]))
+        config = TransmissionConfig(pilot_len=1, data_len=kappa, pilot_power=0.1,
+                                    data_power=0.1, noise_var=1.0)
+        pilot = generate_pilot_sequence(1)
+        rng_drawn, rng_sampled = np.random.default_rng(101), np.random.default_rng(202)
+        drawn, sampled = [], []
+        for _ in range(self.DRAWS // self.CHUNK):
+            drawn.append(self._stats(np.stack([
+                simulate_reception(h, config, pilot, rng_drawn).data_gram
+                for _ in range(self.CHUNK)]), m, kappa))
+            syms = complex_normal(rng_sampled, (self.CHUNK, 1, kappa))
+            # CN(0, 1) noise, real and imaginary parts from one draw.
+            noise = rng_sampled.standard_normal((self.CHUNK, m, 2 * kappa)).view(complex)
+            data = np.sqrt(config.data_power) * h[:, None] * syms + np.sqrt(0.5) * noise
+            sampled.append(self._stats(data @ data.conj().transpose(0, 2, 1), m, kappa))
+        drawn, sampled = np.hstack(drawn), np.hstack(sampled)
+        # Var R_00 as the mean squared deviation of R_00 from its mean.
+        for stats in (drawn, sampled):
+            stats[1] = (stats[1] - stats[1].mean()) ** 2
+        gap = np.abs(drawn.mean(axis=1) - sampled.mean(axis=1))
+        se = np.sqrt((drawn.var(axis=1) + sampled.var(axis=1)) / self.DRAWS)
+        names = ["trace", "var R00", "|R0,M-1|^2", "lambda_min", "lambda_max"]
+        assert np.all(gap <= self.MAX_SE * se), dict(zip(names, gap / se))
 
 
 class TestConfigValidation:

@@ -96,8 +96,8 @@ class TestLsConventional:
 
     def test_zero_pilots_rejected(self):
         from issacsim.array_channel import ReceivedBlock
-        block = ReceivedBlock(pilot_obs=np.zeros((2, 0)), data_obs=np.zeros((2, 1)),
-                              pilot_seq=np.zeros(0))
+        block = ReceivedBlock(pilot_obs=np.zeros((2, 0)), data_gram=np.zeros((2, 2)),
+                              data_len=1, pilot_seq=np.zeros(0))
         with pytest.raises(ValueError):
             ls_conventional(block, 1.0)
 

@@ -74,17 +74,17 @@ CASES = {
     "sweep_oracle_pt": ("sweep", "nrmse_vs_pt.cfg", ["--trials", "20"],
                         "e1284d4084c24be9391f98a1e6ba7a77983c105c842e68d98292ef61bd24bb9c"),
     "cdf_estimated_multipath": ("cdf", "snr_cdf.cfg", ["--trials", "20"],
-                                "fcb8b5006170efa5e5e7d84984248181845f4522b4445cc5124e02b77e580661"),
+                                "6caf10101832d03c9d093c332384ac73631cc913b804cb74a0292c199bc2730d"),
     "cdf_estimated_los": ("cdf", LOS_CDF_CFG, ["--trials", "20"],
-                          "ebb94a4db1d94b89982f320b3b24e7045d8664b59e4dbac39b8693536caa7bfd"),
+                          "d188159c952dbec149428c6c04cf39cf89a2a89cc6666ffe984b2426b45fd3b2"),
     "spectrum_multipath": ("spectrum", "spectrum_demo.cfg", [],
-                           "a14bf514d7c5734986ba7549df242c0e26b8d35af4d611f9e8a79bb98137552d"),
+                           "887b6c73033749488570e7a0fdd561811953851285261680ede2fab582d9b9a7"),
     "spectrum_los": ("spectrum", LOS_SPECTRUM_CFG, [],
-                     "e8d55c22cd72d07667acc6200f7f076732c75c0a59bb97d406f046c619d855b2"),
+                     "efc493cdf4ebd774b9a3c4433248ff76145411e136e874766a87a39b73beabe9"),
     "sweep_oracle_m": ("sweep", "nrmse_vs_m.cfg", ["--trials", "20"],
                        "4cb350c812f99c7ad412404159d7ddf31723ed1cffcebe16da1fea9827b34b43"),
     "sweep_estimated_pd_tracking": ("sweep", "snr_vs_pd.cfg", ["--trials", "3"],
-                                    "cf672ce5e896005443ab1b843cad9b33df7a2ce841b463a41d3225adc2ec7428"),
+                                    "875251c3e7b4dfe789b33b20565d550f6aa7141eb716354c9db80b914b8cfb84"),
     "sweep_oracle_rho": ("sweep", RHO_SWEEP_CFG, ["--trials", "20"],
                          "b1f760e19d38d738f61e0fa555ff7ab7cea463c360283eb4b6256f39f76ca421"),
     "sweep_oracle_pd_default_points": ("sweep", PD_DEFAULT_SWEEP_CFG,

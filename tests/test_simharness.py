@@ -196,6 +196,16 @@ class TestRunTrial:
                               spec.noise_var)
         assert gamma == result.snr_cp
 
+    def test_pilot_side_columns_independent_of_angle_stage(self):
+        # An oracle block stops after the pilot noise that an estimated
+        # block of the same seed draws too, so the conventional route and
+        # the channel are bit-equal between the two.
+        estimated, oracle = (collect_trials(ExperimentSpec(num_trials=12, base_seed=17,
+                                                           angle_stage=stage))
+                             for stage in ("estimated", "oracle"))
+        for column in ("h_norm_sq", "sq_error_cp", "snr_cp"):
+            assert np.array_equal(estimated[column], oracle[column]), column
+
     def test_estimated_angles_close_at_high_snr(self):
         spec = ExperimentSpec(angle_policy=FIXED_ANGLES, pilot_pow=10.0,
                               data_pow=10.0, num_trials=1, base_seed=6)

@@ -68,7 +68,7 @@ def _block_from_snapshots(snapshots, pilot_len=0):
     pilot = snapshots[:, :pilot_len]
     data = snapshots[:, pilot_len:]
     return ReceivedBlock(
-        pilot_obs=pilot, data_obs=data,
+        pilot_obs=pilot, data_gram=data @ data.conj().T, data_len=data.shape[1],
         pilot_seq=np.ones(pilot.shape[1], dtype=complex))
 
 
@@ -123,6 +123,15 @@ class TestSampleCovariance:
             np.random.default_rng(0).standard_normal((3, 10)) + 0j)
         cov = sample_covariance(block)
         assert np.linalg.norm(cov.matrix - cov.matrix.conj().T) == 0.0
+
+    def test_block_without_data_gram_rejected(self):
+        h = synthesize_channel(UlaGeometry(4), PathSet(angles=[0.3], gains=[1.0]))
+        config = TransmissionConfig(pilot_len=2, data_len=10, pilot_power=1.0,
+                                    data_power=1.0, noise_var=1.0)
+        block = simulate_reception(h, config, generate_pilot_sequence(2),
+                                   np.random.default_rng(0), data=False)
+        with pytest.raises(ValueError, match="no data Gram"):
+            sample_covariance(block)
 
     def test_non_hermitian_input_rejected(self):
         with pytest.raises(ValueError):
@@ -725,6 +734,21 @@ class TestPeakSearchMatchesReferenceLoop:
             grid, values = found.spectrum.grid.angles, found.spectrum.values
             chosen = find_peaks(_sample_spectrum(grid, values), num_paths).angles
             assert _grid_index(grid, chosen) == _reference_peak_indices(values, num_paths)
+
+
+class TestNewtonStop:
+    @pytest.mark.parametrize("mode, num_paths", [("los", 1), ("multipath", 3)])
+    def test_early_stop_matches_all_steps(self, monkeypatch, mode, num_paths):
+        # Stopping once no peak moves by more than _NEWTON_TOL gives the
+        # angles of all _NEWTON_STEPS steps, to rounding.
+        spec = ExperimentSpec(mode=mode, num_paths=num_paths, base_seed=7)
+        spectra = [scan_angles(draw_realization(spec, trial)[2], num_paths,
+                               spec.angle_grid, spec.plan).spectrum for trial in range(200)]
+        early = [find_peaks(spectrum, num_paths).angles for spectrum in spectra]
+        monkeypatch.setattr(subspace, "_NEWTON_TOL", -1.0)
+        every_step = [find_peaks(spectrum, num_paths).angles for spectrum in spectra]
+        np.testing.assert_allclose(np.rad2deg(early), np.rad2deg(every_step),
+                                   rtol=0, atol=1e-12)
 
 
 class TestConsistency:
