@@ -23,7 +23,6 @@ __all__ = [
     "AnglePolicy",
     "TransmissionConfig",
     "ReceivedBlock",
-    "complex_normal",
     "steering_matrix",
     "synthesize_channel",
     "sample_angles",
@@ -40,7 +39,7 @@ _MAX_ANGLE_DRAWS = 500
 GAIN_POLICIES = ("gaussian", "unit")
 
 
-def complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0) -> np.ndarray:
+def _complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0) -> np.ndarray:
     """Circularly symmetric complex Gaussian samples with total variance ``var``."""
     scale = np.sqrt(var / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -187,7 +186,7 @@ def sample_gains(num_paths: int, rng: np.random.Generator,
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
     if policy == "gaussian":
-        return complex_normal(rng, num_paths)
+        return _complex_normal(rng, num_paths)
     if policy == "unit":
         return np.exp(2j * np.pi * rng.uniform(size=num_paths))
     raise ValueError(f"unknown gain policy {policy!r}; use one of {', '.join(GAIN_POLICIES)}")
@@ -302,8 +301,8 @@ def simulate_reception(h: np.ndarray, config: TransmissionConfig, pilot_seq: np.
     if pilot_seq.shape != (config.pilot_len,):
         raise ValueError("pilot sequence length must equal config.pilot_len")
     num_antennas = h.size
-    data_syms = complex_normal(rng, config.data_len)
-    pilot_noise = complex_normal(rng, (num_antennas, config.pilot_len), var=config.noise_var)
+    data_syms = _complex_normal(rng, config.data_len)
+    pilot_noise = _complex_normal(rng, (num_antennas, config.pilot_len), var=config.noise_var)
     pilot_obs = np.sqrt(config.pilot_power) * np.outer(h, pilot_seq) + pilot_noise
     data_gram = None
     if data:
@@ -312,7 +311,7 @@ def simulate_reception(h: np.ndarray, config: TransmissionConfig, pilot_seq: np.
         # [v | T]: column 0 and the entries below T's diagonal are Gaussian.
         factor = np.zeros((num_antennas, rank + 1), dtype=np.complex128)
         gaussian = np.tri(num_antennas, rank + 1, dtype=bool)
-        factor[gaussian] = complex_normal(rng, np.count_nonzero(gaussian), var=config.noise_var)
+        factor[gaussian] = _complex_normal(rng, np.count_nonzero(gaussian), var=config.noise_var)
         factor[:, 0] += math.sqrt(config.data_power * np.vdot(data_syms, data_syms).real) * h
         np.fill_diagonal(factor[:, 1:],
                          np.sqrt(config.noise_var * rng.standard_gamma(dof - np.arange(rank))))

@@ -51,16 +51,15 @@ _POWER_AXES = ("pt", "pd")
 Sweep = Tuple[Optional[str], Tuple[Tuple[float, ExperimentSpec], ...]]
 
 
-# The one dB conversion pair of the package. Private so that it stays out of
-# __all__: the benchmark's tracer wraps every __all__ function, and a cdf run
-# calls _to_db for every CSV row.
+# The one dB conversion pair of the package. _to_db converts whole columns:
+# 0 gives -inf and a negative or nan value gives nan, without a warning.
 def _from_db(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def _to_db(value: float) -> float:
+def _to_db(value: np.typing.ArrayLike) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(10.0 * np.log10(value))
+        return 10.0 * np.log10(value)
 
 
 def _power_from_snr(snr: float, noise_var: float) -> float:
@@ -139,9 +138,16 @@ def load_run_config(path: Optional[str]) -> Dict[str, str]:
     """Read a flat key=value config file; unknown keys are rejected."""
     if path is None:
         return {}
+    try:
+        # utf-8-sig drops the byte-order mark some editors write.
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+                         f"(byte {exc.object[exc.start]:#04x})") from None
     raw: Dict[str, str] = {}
     first_line: Dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -252,19 +258,14 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
     return spec, (axis, points)
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % float(value)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]],
+def _write_csv(path: Path, header: Sequence[str], table: np.typing.ArrayLike,
                comments: Sequence[str] = ()) -> None:
+    """``# comment`` lines, the header and a 2-D table of numbers with 12
+    significant digits, LF line ends."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    head = "\n".join([*(f"# {comment}" for comment in comments), ",".join(header)])
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(handle, table, fmt="%.12g", delimiter=",", header=head, comments="")
 
 
 def _cmd_sweep(sweep: Sweep, args: argparse.Namespace) -> int:
@@ -273,13 +274,13 @@ def _cmd_sweep(sweep: Sweep, args: argparse.Namespace) -> int:
         raise ValueError(f"sweep needs an axis; set axis or --axis to one of {', '.join(_AXES)}")
     runs = [(value, spec.theory(), summarize(spec, collect_trials(spec)))
             for value, spec in points]
-    rows = [(value, s.e_cp_sim, t.e_cp, s.e_lp_sim, t.e_lp, s.nrmse_cp, s.nrmse_lp,
-             _to_db(s.gamma_cp_sim), _to_db(t.gamma_cp_approx),
-             _to_db(s.gamma_lp_sim), _to_db(t.gamma_upper), s.failure_rate, s.num_trials)
-            for value, t, s in runs]
-    _write_csv(Path(args.out), SWEEP_CSV_HEADER, rows)
+    table = np.array([(value, s.e_cp_sim, t.e_cp, s.e_lp_sim, t.e_lp, s.nrmse_cp, s.nrmse_lp,
+                       s.gamma_cp_sim, t.gamma_cp_approx, s.gamma_lp_sim, t.gamma_upper,
+                       s.failure_rate, s.num_trials) for value, t, s in runs])
+    table[:, 7:11] = _to_db(table[:, 7:11])  # the four gamma_*_db columns
+    _write_csv(Path(args.out), SWEEP_CSV_HEADER, table)
     for value, t, s in runs:
-        print(f"{axis}={_fmt(value)}: "
+        print(f"{axis}={value:.12g}: "
               f"e_cp={s.e_cp_sim:.4g} (theory {t.e_cp:.4g}), "
               f"e_lp={s.e_lp_sim:.4g} (theory {t.e_lp:.4g}), "
               f"failures={s.num_failures}/{s.num_trials}")
@@ -297,22 +298,18 @@ def _cmd_cdf(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         return 1
     series = snr_cdfs(trials)
     cp, lp = series["conventional"], series["issac"]
-    rows = [
-        (_to_db(cv), cf, _to_db(lv), lf)
-        for cv, cf, lv, lf in zip(cp.values, cp.probabilities,
-                                  lp.values, lp.probabilities)
-    ]
+    table = np.column_stack((_to_db(cp.values), cp.probabilities,
+                             _to_db(lp.values), lp.probabilities))
+    p90_cp, p90_lp = _to_db([cp.percentiles[90.0], lp.percentiles[90.0]])
     comments = (
-        f"p90_gamma_cp_db = {_fmt(_to_db(cp.percentiles[90.0]))}",
-        f"p90_gamma_lp_db = {_fmt(_to_db(lp.percentiles[90.0]))}",
+        f"p90_gamma_cp_db = {p90_cp:.12g}",
+        f"p90_gamma_lp_db = {p90_lp:.12g}",
         f"trials = {summary.num_trials}",
         f"failures = {summary.num_failures}",
     )
     _write_csv(Path(args.out), ("snr_cp_db", "F_cp", "snr_lp_db", "F_lp"),
-               rows, comments)
-    print(f"90th percentile receive SNR: conventional "
-          f"{_to_db(cp.percentiles[90.0]):.2f} dB, "
-          f"issac {_to_db(lp.percentiles[90.0]):.2f} dB "
+               table, comments)
+    print(f"90th percentile receive SNR: conventional {p90_cp:.2f} dB, issac {p90_lp:.2f} dB "
           f"({summary.num_failures}/{summary.num_trials} trials failed)")
     print(f"wrote {args.out}")
     return 0 if summary.failure_rate <= MAX_FAILURE_RATE else 1
@@ -330,7 +327,7 @@ def _cmd_spectrum(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     if spec.multipath:
         columns.append(peaks.spectrum.values)
         header.append("music")
-    _write_csv(Path(args.out), header, list(zip(*columns)))
+    _write_csv(Path(args.out), header, np.column_stack(columns))
     peak_list = ", ".join(f"{v:.3f}" for v in np.rad2deg(peaks.angles))
     print(f"estimated angles (deg): {peak_list}")
     print(f"wrote {args.out}")

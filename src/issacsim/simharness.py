@@ -49,7 +49,6 @@ __all__ = [
     "summarize",
     "nrmse",
     "empirical_cdf",
-    "match_angles",
     "draw_realization",
     "snr_cdfs",
 ]
@@ -224,7 +223,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> np.record:
             thetas_hat = paths.angles
         else:
             thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid, spec.plan).angles
-            angle_errors = match_angles(thetas_hat, paths.angles)
+            angle_errors = _match_angles(thetas_hat, paths.angles)
         _, h_lp = estimate_gains_multipath(h_cp, thetas_hat)
         sq_error_lp = float(np.linalg.norm(h_lp - h) ** 2)
         snr_lp = empirical_snr(mrc_beamformer(h_lp), h, spec.data_pow, spec.noise_var)
@@ -250,7 +249,7 @@ def nrmse(sq_errors: Sequence[float], h_norms_sq: Sequence[float]) -> float:
     return float(np.sqrt(sq_errors.mean()) / np.sqrt(h_norms_sq.mean()))
 
 
-def match_angles(angles_est: Sequence[float], angles_true: Sequence[float]) -> np.ndarray:
+def _match_angles(angles_est: Sequence[float], angles_true: Sequence[float]) -> np.ndarray:
     """Per-path absolute angle errors after sorting both lists.
 
     Angles are scalar, so sorted positional pairing is the optimal

@@ -10,7 +10,7 @@ from issacsim.array_channel import (
     PathSet,
     TransmissionConfig,
     UlaGeometry,
-    complex_normal,
+    _complex_normal,
     generate_pilot_sequence,
     sample_angles,
     sample_gains,
@@ -219,7 +219,7 @@ class TestSimulateReception:
         block = simulate_reception(h, config, generate_pilot_sequence(2),
                                    np.random.default_rng(1))
         # the data symbols are the generator's first draw
-        data_syms = complex_normal(np.random.default_rng(1), config.data_len)
+        data_syms = _complex_normal(np.random.default_rng(1), config.data_len)
         expected = 9.0 * np.vdot(data_syms, data_syms).real * np.outer(h, h.conj())
         np.testing.assert_allclose(block.data_gram, expected, rtol=0, atol=1e-12)
         assert block.data_len == config.data_len and block.num_snapshots == 5
@@ -304,7 +304,7 @@ class TestDataGramDistribution:
             drawn.append(self._stats(np.stack([
                 simulate_reception(h, config, pilot, rng_drawn).data_gram
                 for _ in range(self.CHUNK)]), m, kappa))
-            syms = complex_normal(rng_sampled, (self.CHUNK, 1, kappa))
+            syms = _complex_normal(rng_sampled, (self.CHUNK, 1, kappa))
             # CN(0, 1) noise, real and imaginary parts from one draw.
             noise = rng_sampled.standard_normal((self.CHUNK, m, 2 * kappa)).view(complex)
             data = np.sqrt(config.data_power) * h[:, None] * syms + np.sqrt(0.5) * noise

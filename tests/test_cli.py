@@ -151,6 +151,34 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="expected 'key = value'"):
             load_run_config(cfg_path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Some editors save UTF-8 with a leading byte-order mark.
+        text = "m = 16\nl = 2\npt = -5 dB\n"
+        plain = _write(tmp_path, "plain.cfg", text)
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_run_config(str(bom)) == load_run_config(plain)
+        assert build_spec(load_run_config(str(bom))) == build_spec(load_run_config(plain))
+
+    # The line of the first byte that is not UTF-8; a byte-order mark does
+    # not shift it.
+    @pytest.mark.parametrize("data, lineno", [
+        (b"m = \xff6\n", 1),
+        (b"\xef\xbb\xbfm = 16\n# note\nl = \xff\n", 3),
+    ])
+    def test_non_utf8_config_exits_2_naming_its_line(self, tmp_path, capsys, data, lineno):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(data)
+        out = tmp_path / "x.csv"
+        code = main(["cdf", "--config", str(cfg_path), "--out", str(out),
+                     "--trials", "1", "--oracle-angles"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}:{lineno}: ")
+        assert "0xff" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_sweep_values_power_axis_db_entries(self, tmp_path):
         # Transmit SNRs scaled by sigma2 into powers; rows report them in dB.
         cfg_path = _write(tmp_path, "run.cfg",
@@ -614,6 +642,39 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+class TestCsvFormat:
+    """The bytes of every result CSV: ``#`` comment lines, one header row, then
+    numbers with 12 significant digits, comma-separated, LF line ends."""
+
+    def test_exact_bytes(self, tmp_path):
+        out = tmp_path / "sub" / "t.csv"
+        rows = [
+            [float("inf"), float("-inf"), float("nan"), -0.0],
+            [2000, 1.2345678901234567e-300, 1.0 / 3.0, 0.1],
+            [-2.5e22, 123456789012345.0, -1e-05, 1.0],
+        ]
+        cli._write_csv(out, ("a", "b_db", "c", "d"), rows, ("p90 = -3.5", "trials = 3"))
+        assert out.read_bytes() == (
+            b"# p90 = -3.5\n"
+            b"# trials = 3\n"
+            b"a,b_db,c,d\n"
+            b"inf,-inf,nan,-0\n"
+            b"2000,1.23456789012e-300,0.333333333333,0.1\n"
+            b"-2.5e+22,1.23456789012e+14,-1e-05,1\n"
+        )
+
+    def test_db_column_of_edge_values_raises_no_warning(self):
+        # pyproject.toml makes a RuntimeWarning an error, so this fails if
+        # _to_db lets the log of 0 or of a negative value warn.
+        np.testing.assert_array_equal(cli._to_db([0.0, -1.0, np.nan, np.inf, 100.0]),
+                                      [-np.inf, np.nan, np.nan, np.inf, 20.0])
+
+    def test_one_row_without_comments(self, tmp_path):
+        out = tmp_path / "one.csv"
+        cli._write_csv(out, ("x", "y", "z"), [[0.5, 2.0 / 3.0, 7]])
+        assert out.read_bytes() == b"x,y,z\n0.5,0.666666666667,7\n"
 
 
 @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)

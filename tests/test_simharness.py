@@ -17,7 +17,7 @@ from issacsim.simharness import (
     collect_trials,
     draw_realization,
     empirical_cdf,
-    match_angles,
+    _match_angles,
     nrmse,
     run_trial,
     summarize,
@@ -311,22 +311,22 @@ class TestNrmse:
 
 class TestMatchAngles:
     def test_exact(self):
-        errors = match_angles([0.1, -0.2], [-0.2, 0.1])
+        errors = _match_angles([0.1, -0.2], [-0.2, 0.1])
         np.testing.assert_allclose(errors, 0.0, atol=1e-15)
 
     def test_permutation_invariant(self):
-        errors = match_angles([0.3, -0.1, 0.0], [0.0, 0.3, -0.1])
+        errors = _match_angles([0.3, -0.1, 0.0], [0.0, 0.3, -0.1])
         np.testing.assert_allclose(errors, 0.0, atol=1e-15)
 
     def test_pairwise_differences(self):
         est = np.deg2rad([-10.0, 10.1])
         true = np.deg2rad([-10.0, 10.0])
-        errors = match_angles(est, true)
+        errors = _match_angles(est, true)
         np.testing.assert_allclose(np.rad2deg(errors), [0.0, 0.1], atol=1e-10)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            match_angles([0.1], [0.1, 0.2])
+            _match_angles([0.1], [0.1, 0.2])
 
 
 class TestEmpiricalCdf:
