@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 _HALF_PI = np.pi / 2.0
+# The random-angle prior: uniform on (-60, 60) degrees, with sine-domain
+# gaps of at least sin 5 degrees between the paths.
+_ANGLE_LOW, _ANGLE_HIGH = -np.pi / 3.0, np.pi / 3.0
+_MIN_SIN_SEP = float(np.sin(np.deg2rad(5.0)))
 # Rejection-sampling attempts before a separation constraint counts as
 # infeasible.
 _MAX_ANGLE_DRAWS = 500
@@ -117,24 +121,15 @@ def synthesize_channel(geom: UlaGeometry, paths: PathSet) -> np.ndarray:
 class AnglePolicy:
     """Prior for drawing path angles.
 
-    Draws are uniform on (low, high), re-drawn until all pairwise gaps in
-    the sine domain are at least ``min_sin_sep``. A non-None ``fixed`` tuple
-    short-circuits the draw with that deterministic list of distinct angles
-    (radians).
+    Draws are uniform on (-60, 60) degrees, re-drawn until all pairwise gaps
+    in the sine domain are at least sin 5 degrees. A non-None ``fixed``
+    tuple short-circuits the draw with that deterministic list of distinct
+    angles (radians).
     """
 
-    low: float = -np.pi / 3.0
-    high: float = np.pi / 3.0
-    min_sin_sep: float = float(np.sin(np.deg2rad(5.0)))
     fixed: Optional[tuple] = None
 
     def __post_init__(self):
-        # A rejection is a SpecError naming the part of the prior at fault.
-        with blame("angle_range"):
-            if _check_angles(self.low) >= _check_angles(self.high):
-                raise ValueError("need low < high")
-        if not self.min_sin_sep >= 0:
-            raise SpecError("min_sep", "min_sin_sep must be nonnegative")
         if self.fixed is not None:
             with blame("angle_list"):
                 fixed = _check_angles(self.fixed)
@@ -153,10 +148,10 @@ class AnglePolicy:
                 raise SpecError("num_paths angle_list", f"policy fixes {len(self.fixed)} "
                                                         f"angles but {num_paths} paths requested")
             return
-        span = math.sin(self.high) - math.sin(self.low)
-        if (num_paths - 1) * self.min_sin_sep >= span:
-            raise SpecError("num_paths angle_range min_sep",
-                            f"{num_paths} angles with sine separation >= {self.min_sin_sep:.4f} "
+        span = math.sin(_ANGLE_HIGH) - math.sin(_ANGLE_LOW)
+        if (num_paths - 1) * _MIN_SIN_SEP >= span:
+            raise SpecError("num_paths",
+                            f"{num_paths} angles with sine separation >= {_MIN_SIN_SEP:.4f} "
                             f"do not fit in the sine range {span:.4f}; it is infeasible")
 
 
@@ -171,12 +166,12 @@ def sample_angles(num_paths: int, rng: np.random.Generator,
     if policy.fixed is not None:
         return np.asarray(policy.fixed, dtype=float)
     for _ in range(_MAX_ANGLE_DRAWS):
-        draws = np.sort(rng.uniform(policy.low, policy.high, size=num_paths))
-        if num_paths == 1 or np.min(np.diff(np.sin(draws))) >= policy.min_sin_sep:
+        draws = np.sort(rng.uniform(_ANGLE_LOW, _ANGLE_HIGH, size=num_paths))
+        if num_paths == 1 or np.min(np.diff(np.sin(draws))) >= _MIN_SIN_SEP:
             return draws
     raise ValueError(
         f"could not draw {num_paths} angles with sine separation "
-        f">= {policy.min_sin_sep:.4f} in {_MAX_ANGLE_DRAWS} attempts; "
+        f">= {_MIN_SIN_SEP:.4f} in {_MAX_ANGLE_DRAWS} attempts; "
         "the separation is infeasible for the angle range")
 
 

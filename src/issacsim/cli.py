@@ -112,13 +112,11 @@ _SPEC_KEYS = {
     "angle_stage": ("angle_stage", str.lower),
     "grid_step_deg": ("grid_step_deg", float),
 }
-# Every key that sets a spec value, with the ExperimentSpec field (or part
-# of the angle prior) it sets, to name the keys of a SpecError's fields.
+# Every key that sets a spec value, with the ExperimentSpec field (or the
+# fixed angle list) it sets, to name the keys of a SpecError's fields.
 # The sweep keys set none.
 _KEY_FIELDS = {key: field for key, (field, _) in _SPEC_KEYS.items()} | {
-    "angles_deg": "angle_list", "angle_low_deg": "angle_range",
-    "angle_high_deg": "angle_range", "min_sep_deg": "min_sep",
-    "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var"}
+    "angles_deg": "angle_list", "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var"}
 _VALID_KEYS = (*_KEY_FIELDS, "axis", "sweep_values")
 
 
@@ -163,28 +161,6 @@ def load_run_config(path: Optional[str]) -> Dict[str, str]:
                 f"{path}:{lineno}: key {key!r} given twice (lines {first_line[key]} and {lineno})")
         raw[key], first_line[key] = value.strip(), lineno
     return raw
-
-
-def _radians(text: str) -> float:
-    return float(np.deg2rad(float(text)))
-
-
-def _sine_separation(text: str) -> float:
-    """sin of a separation in degrees; AnglePolicy rejects a negative one."""
-    if not abs(float(text)) <= 90.0:  # NaN, inf, or past 90 where the sine folds back
-        raise ValueError("min_sep_deg must lie in [0, 90] degrees")
-    return float(np.sin(_radians(text)))
-
-
-def _angle_policy_from(cfg: Dict[str, str]) -> AnglePolicy:
-    """The angle prior of the config; a SpecError names the part at fault."""
-    if "angles_deg" in cfg:
-        return _parse_key(cfg, "angles_deg", lambda text: AnglePolicy(
-            fixed=tuple(_radians(v) for v in _parse_list(text))))
-    low = _parse_key(cfg, "angle_low_deg", _radians, AnglePolicy.low)
-    high = _parse_key(cfg, "angle_high_deg", _radians, AnglePolicy.high)
-    sep = _parse_key(cfg, "min_sep_deg", _sine_separation, AnglePolicy.min_sin_sep)
-    return AnglePolicy(low=low, high=high, min_sin_sep=sep)
 
 
 def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
@@ -241,7 +217,8 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
         key: text for key, text in sources.items() if key not in keys}
 
     try:
-        kwargs["angle_policy"] = _angle_policy_from(cfg)
+        kwargs["angle_policy"] = _parse_key(cfg, "angles_deg", lambda text: AnglePolicy(
+            fixed=tuple(np.deg2rad([float(v) for v in _parse_list(text)]))), AnglePolicy())
         command = flags.get("command")
         # sweep runs only its points, which override the swept keys, and cdf
         # and spectrum only the spec; with no command both are built.
@@ -334,15 +311,17 @@ def _cmd_spectrum(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_args(parser: argparse.ArgumentParser, with_axis: bool) -> None:
+def _add_common_args(parser: argparse.ArgumentParser, with_trials: bool = True,
+                     with_axis: bool = False) -> None:
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="flat key=value config file")
     parser.add_argument("--out", metavar="PATH", required=True,
                         help="output CSV path (directories are created)")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the base seed")
-    parser.add_argument("--trials", type=int, default=None, metavar="N",
-                        help="override the trial count")
+    if with_trials:
+        parser.add_argument("--trials", type=int, default=None, metavar="N",
+                            help="override the trial count")
     parser.add_argument("--oracle-angles", action="store_true",
                         help="skip angle estimation and use the true angles")
     if with_axis:
@@ -362,11 +341,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cdf = sub.add_parser("cdf", help="receive-SNR CDFs at a fixed point")
-    _add_common_args(p_cdf, with_axis=False)
+    _add_common_args(p_cdf)
     p_cdf.set_defaults(func=_cmd_cdf)
 
     p_spec = sub.add_parser("spectrum", help="pseudospectra of one realization")
-    _add_common_args(p_spec, with_axis=False)
+    # spectrum draws one realization, so it takes no trial count.
+    _add_common_args(p_spec, with_trials=False)
     p_spec.set_defaults(func=_cmd_spectrum)
 
     args = parser.parse_args(argv)

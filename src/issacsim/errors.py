@@ -5,7 +5,7 @@ import contextlib
 
 class SpecError(ValueError):
     """A rejected experiment value; ``fields`` lists the spec fields at fault,
-    or the parts of the angle prior: angle_range, min_sep, angle_list."""
+    or angle_list for a fixed list of angles."""
 
     def __init__(self, fields: str, message: str):
         super().__init__(message)

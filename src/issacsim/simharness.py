@@ -47,8 +47,6 @@ __all__ = [
     "run_trial",
     "collect_trials",
     "summarize",
-    "nrmse",
-    "empirical_cdf",
     "draw_realization",
     "snr_cdfs",
 ]
@@ -140,6 +138,9 @@ class ExperimentSpec:
             raise SpecError("num_antennas num_paths", "more paths than antennas")
         grid = plan = None
         if self.angle_stage == "estimated":
+            # One antenna sees every angle alike: its spectrum is flat.
+            if self.num_antennas < 2:
+                raise SpecError("num_antennas", "angle estimation needs num_antennas >= 2")
             with blame("num_antennas grid_step_deg"):
                 grid = make_angle_grid(self.grid_step_deg, self.num_antennas - 1)
             if len(grid) < 2 * self.num_paths + 1:

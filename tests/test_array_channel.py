@@ -137,34 +137,32 @@ class TestPathSampling:
         assert 0.98 <= np.mean(np.abs(gains) ** 2) <= 1.02
 
     def test_min_separation_respected(self):
-        policy = AnglePolicy(min_sin_sep=np.sin(np.deg2rad(5.0)))
         rng = np.random.default_rng(5)
         for _ in range(50):
-            angles = sample_angles(2, rng, policy)
-            assert abs(np.diff(np.sin(angles)))[0] >= policy.min_sin_sep
+            angles = sample_angles(3, rng)
+            assert np.all(np.abs(angles) < np.pi / 3.0)
+            assert np.all(np.diff(np.sin(angles)) >= np.sin(np.deg2rad(5.0)))
 
     def test_unsatisfiable_separation_raises(self):
-        # infeasible policy is a bad input (ValueError), not an estimation failure
-        policy = AnglePolicy(low=-0.01, high=0.01, min_sin_sep=0.5)
+        # 20 gaps of sin 5 deg overfill the sine range 2 sin 60 deg = 1.732;
+        # too many paths is a bad input (ValueError), not an estimation failure
         with pytest.raises(ValueError, match="infeasible"):
-            sample_angles(3, np.random.default_rng(0), policy)
+            sample_angles(21, np.random.default_rng(0))
 
     def test_check_paths_rejects_what_no_draw_can_meet(self):
         AnglePolicy(fixed=(0.1, -0.2)).check_paths(2)
         with pytest.raises(ValueError, match="policy fixes 2 angles but 3 paths"):
             AnglePolicy(fixed=(0.1, -0.2)).check_paths(3)
-        narrow = AnglePolicy(low=-0.01, high=0.01, min_sin_sep=0.5)
-        narrow.check_paths(1)
+        AnglePolicy().check_paths(20)
         with pytest.raises(ValueError, match="do not fit in the sine range"):
-            narrow.check_paths(2)
+            AnglePolicy().check_paths(21)
 
     def test_tight_separation_left_to_the_draws(self):
-        # two gaps of 0.45 fit in the sine range 2 sin(0.5) = 0.959, so the
-        # policy passes check_paths; the rejection draws still give up on it
-        tight = AnglePolicy(low=-0.5, high=0.5, min_sin_sep=0.45)
-        tight.check_paths(3)
-        with pytest.raises(ValueError, match="could not draw 3 angles"):
-            sample_angles(3, np.random.default_rng(0), tight)
+        # 19 gaps of sin 5 deg = 1.656 fit in the sine range 1.732, so 20
+        # paths pass check_paths; the rejection draws still give up on them
+        AnglePolicy().check_paths(20)
+        with pytest.raises(ValueError, match="could not draw 20 angles"):
+            sample_angles(20, np.random.default_rng(0))
 
     def test_fixed_policy_bypasses_draw(self):
         policy = AnglePolicy(fixed=(0.1, -0.2))
@@ -338,10 +336,6 @@ class TestConfigValidation:
         values = dict(pilot_len=1, data_len=1, pilot_power=1.0, data_power=1.0, noise_var=1.0)
         with pytest.raises(ValueError, match=message):
             TransmissionConfig(**{**values, field: float("nan")})
-
-    def test_angle_policy_rejects_nan_separation(self):
-        with pytest.raises(ValueError, match="min_sin_sep must be nonnegative"):
-            AnglePolicy(min_sin_sep=float("nan"))
 
     def test_geometry_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -74,7 +74,6 @@ class TestConfigParsing:
             trials = 7
             seed = 123
             angle_stage = oracle
-            min_sep_deg = 6
             gain_policy = unit
         """)
         spec, sweep = build_spec(load_run_config(cfg_path))
@@ -89,7 +88,7 @@ class TestConfigParsing:
         assert spec.base_seed == 123
         assert spec.angle_stage == "oracle"
         assert spec.gain_policy == "unit"
-        assert spec.angle_policy.min_sin_sep == pytest.approx(np.sin(np.deg2rad(6.0)))
+        assert spec.angle_policy.fixed is None
 
     def test_fixed_angles_config(self, tmp_path):
         cfg_path = _write(tmp_path, "run.cfg", "l = 3\nangles_deg = -30, 0, 30\n")
@@ -97,10 +96,12 @@ class TestConfigParsing:
         np.testing.assert_allclose(np.rad2deg(spec.angle_policy.fixed),
                                    [-30.0, 0.0, 30.0], atol=1e-12)
 
-    # angle_hold_trials, subarrays and pt_tracks_pd were run knobs once; a
-    # config that still sets one fails instead of running without it.
+    # angle_hold_trials, subarrays and pt_tracks_pd were run knobs once, and
+    # angle_low_deg, angle_high_deg and min_sep_deg set the random-angle
+    # prior; a config that still sets one fails instead of running without it.
     @pytest.mark.parametrize("key", ["antennas", "angle_hold_trials", "subarrays",
-                                     "pt_tracks_pd"])
+                                     "pt_tracks_pd", "angle_low_deg", "angle_high_deg",
+                                     "min_sep_deg"])
     def test_unknown_key_rejected(self, tmp_path, capsys, key):
         cfg_path = _write(tmp_path, "run.cfg", f"{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
@@ -224,18 +225,10 @@ class TestConfigParsing:
          "error: grid_step_deg = '1e-9': grid_step_deg must be finite and >= 0.001, "
          "got 1e-09"),
         ("l = 1\nangles_deg = 95\n", "error: angles_deg = '95': angle 1.658"),
-        ("min_sep_deg = -1\n",
-         "error: min_sep_deg = '-1': min_sin_sep must be nonnegative"),
-        ("angle_low_deg = 80\nangle_high_deg = 70\n",
-         "error: angle_low_deg = '80', angle_high_deg = '70': need low < high"),
-        # A range error names the range keys only, not the separation.
-        ("angle_low_deg = 80\nangle_high_deg = 70\nmin_sep_deg = 5\n",
-         "error: angle_low_deg = '80', angle_high_deg = '70': need low < high"),
     ], ids=["spec_key", "composite_key", "sweep_values_without_axis", "nan_power",
             "infinite_power", "overflowing_db_power", "infinite_power_axis_value",
             "negative_grid_step", "nan_grid_step", "tiny_grid_step",
-            "angle_out_of_range", "negative_min_sep", "angle_range_reversed",
-            "angle_range_reversed_with_min_sep"])
+            "angle_out_of_range"])
     def test_bad_value_error_names_its_key(self, tmp_path, capsys, text, message):
         cfg_path = _write(tmp_path, "run.cfg", text)
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
@@ -280,6 +273,9 @@ class TestConfigParsing:
         ("pd = 0\n", [], "error: pd = '0': powers must be positive"),
         ("kappa = 0\n", [], "error: kappa = '0': data_len must be a positive integer"),
         ("m = 4\nl = 3\n", [], "error: m = '4', l = '3': subarrays too small"),
+        # One antenna's spectrum is flat, so no angle stage can scan it.
+        ("m = 1\nl = 1\nmode = los\n", [],
+         "error: m = '1': angle estimation needs num_antennas >= 2"),
         # Oracle angles smooth nothing, but the gain solve needs L <= M.
         ("m = 2\nl = 3\nangle_stage = oracle\n", [],
          "error: m = '2', l = '3': more paths than antennas"),
@@ -291,36 +287,20 @@ class TestConfigParsing:
          "error: gain_policy = 'foo': unknown gain policy 'foo'; use one of gaussian, unit"),
         ("angles_deg = -30, 0\n", [],
          "error: angles_deg = '-30, 0': policy fixes 2 angles but 3 paths requested"),
-        # A fixed list makes the parser ignore the range keys: not named.
-        ("angles_deg = -30, 0\nangle_low_deg = -10\nangle_high_deg = 10\nl = 3\n", [],
+        # A set l is named beside the list.
+        ("angles_deg = -30, 0\nl = 3\n", [],
          "error: l = '3', angles_deg = '-30, 0': policy fixes 2 angles but 3 paths requested"),
         # Found when the spec is built, not at the first trial's draw.
         ("angles_deg = 0, 0, 1\nl = 3\n", [],
          "error: angles_deg = '0, 0, 1': path angles must be pairwise distinct"),
-        ("l = 3\nmin_sep_deg = 60\n", [],
-         "error: l = '3', min_sep_deg = '60': 3 angles with sine separation >= 0.8660 "
-         "do not fit in the sine range 1.7321; it is infeasible"),
-        ("angle_low_deg = -10\nangle_high_deg = 10\nmin_sep_deg = 11\n", [],
-         "error: angle_low_deg = '-10', angle_high_deg = '10', min_sep_deg = '11': "
-         "3 angles with sine separation >= 0.1908 do not fit"),
-        # NaN (also the sine of inf) slips past every comparison with the
-        # sine range, and the sine of 180 degrees folds back to 1.2e-16.
-        ("min_sep_deg = nan\n", [],
-         "error: min_sep_deg = 'nan': min_sep_deg must lie in [0, 90] degrees"),
-        ("min_sep_deg = inf\n", [],
-         "error: min_sep_deg = 'inf': min_sep_deg must lie in [0, 90] degrees"),
-        ("min_sep_deg = 180\n", [],
-         "error: min_sep_deg = '180': min_sep_deg must lie in [0, 90] degrees"),
     ], ids=["mode", "angle_stage", "base_seed", "empty_sweep_values",
             "zero_pilots_sweep_point", "small_array_sweep_point", "small_array_default_point",
             "small_array_default_point_from_config", "overridden_axis_with_points",
             "unknown_axis_under_flag", "tracked_pilot_sweep_point", "zero_pilots",
             "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
-            "zero_data_len", "small_array", "more_paths_than_antennas", "coarse_grid",
-            "unknown_gain_policy", "fixed_angle_count",
-            "fixed_angle_count_beside_range", "repeated_fixed_angle", "infeasible_min_sep",
-            "infeasible_min_sep_in_range", "nan_min_sep", "infinite_min_sep",
-            "folded_min_sep"])
+            "zero_data_len", "small_array", "single_antenna_estimated",
+            "more_paths_than_antennas", "coarse_grid", "unknown_gain_policy",
+            "fixed_angle_count", "fixed_angle_count_beside_range", "repeated_fixed_angle"])
     def test_bad_spec_value_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                      text, flags, message):
         # Each spec value is checked once, when the spec is built, and its
@@ -388,7 +368,7 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--out", "x.csv", "--axis", "banana"])
         assert excinfo.value.code == 2
-        assert "m" in capsys.readouterr().err
+        assert "invalid choice: 'banana'" in capsys.readouterr().err
 
     def test_invalid_axis_in_config(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.cfg", "axis = banana\n")
@@ -463,13 +443,17 @@ class TestSweepCommand:
                 "need subarray_size >= num_sources + 1\n")
 
 
-def test_mode_flag_exits_with_usage(capsys):
-    # The channel mode is set by the mode config key only.
+# The channel mode is set by the mode config key only, and spectrum draws one
+# realization, so it takes no trial count.
+@pytest.mark.parametrize("command, flag", [("cdf", ["--mode", "los"]),
+                                           ("spectrum", ["--trials", "5"])],
+                         ids=["cdf_mode", "spectrum_trials"])
+def test_mode_flag_exits_with_usage(capsys, command, flag):
     with pytest.raises(SystemExit) as excinfo:
-        main(["cdf", "--out", "x.csv", "--mode", "los"])
+        main([command, "--out", "x.csv", *flag])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: ") and "unrecognized arguments: --mode los" in err
+    assert err.startswith("usage: ") and f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_cdf_and_spectrum_build_no_sweep_points(tmp_path):
@@ -504,13 +488,15 @@ class TestCdfCommand:
         assert "num_trials" in capsys.readouterr().err
 
     def test_infeasible_min_separation_exits_2(self, tmp_path, capsys):
-        cfg_path = _write(tmp_path, "run.cfg", "l = 3\nmin_sep_deg = 60\n")
+        # 20 gaps of sin 5 deg overfill the sine range of (-60, 60) deg.
+        cfg_path = _write(tmp_path, "run.cfg", "m = 64\nl = 21\n")
         code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
                      "--trials", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "infeasible" in err
+        assert err.startswith("error: l = '21': 21 angles with sine separation >= 0.0872 "
+                              "do not fit in the sine range 1.7321")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["angle_stage = oracle\n", ""],
                              ids=["oracle_spec_build", "estimated_grid"])
@@ -681,6 +667,7 @@ class TestCsvFormat:
 def test_shipped_config_runs(tmp_path, config):
     command = CONFIG_COMMANDS[config.stem]
     out = tmp_path / "out.csv"
-    assert main([command, "--config", str(config), "--out", str(out), "--trials", "2"]) == 0
+    trials = [] if command == "spectrum" else ["--trials", "2"]
+    assert main([command, "--config", str(config), "--out", str(out), *trials]) == 0
     header, _ = _read_csv(out)
     assert header == CSV_HEADERS[command]

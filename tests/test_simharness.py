@@ -82,8 +82,8 @@ class TestSpecValidation:
         ({"pilot_len": 2.5}, ["pilot_len", "data_len"]),
         ({"num_paths": 0}, ["num_paths"]),
         ({"angle_policy": AnglePolicy(fixed=(0.1,))}, ["num_paths", "angle_list"]),
-        ({"angle_policy": AnglePolicy(min_sin_sep=0.9)},
-         ["num_paths", "angle_range", "min_sep"]),
+        # 20 gaps of sin 5 deg do not fit in the sine range of (-60, 60) deg.
+        ({"num_paths": 21, "num_antennas": 64}, ["num_paths"]),
         ({"num_antennas": 4}, ["num_antennas", "num_paths"]),
         # 4 grid points hold at most one interior local maximum, not 3 peaks
         ({"grid_step_deg": 60.0}, ["grid_step_deg", "num_paths"]),
@@ -141,6 +141,10 @@ class TestSpecValidation:
         assert all(np.isfinite(t.sq_error_lp) for t in trials)
         with pytest.raises(SpecError, match="subarrays too small"):
             dataclasses.replace(spec, angle_stage="estimated")
+        # One antenna's spectrum is flat, so only oracle angles run on it.
+        single = ExperimentSpec(num_antennas=1, num_paths=1, mode="los",
+                                angle_stage="oracle", num_trials=2)
+        assert not collect_trials(single).failed.any()
 
     def test_sweep_point_gets_its_own_trial_objects(self):
         # The CLI builds each sweep point with dataclasses.replace, which must
