@@ -9,6 +9,7 @@ pure and its outputs are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -110,6 +111,14 @@ class PathSet:
             raise ValueError("path angles must be pairwise distinct")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "gains", gains)
+
+    @classmethod
+    def _built(cls, angles: np.ndarray, gains: np.ndarray):
+        """Wrap, unchecked, drawn float angles, distinct and inside the prior
+        or the checked fixed list, and as many complex gains."""
+        paths = object.__new__(cls)
+        paths.__dict__.update(angles=angles, gains=gains)
+        return paths
 
 
 def synthesize_channel(geom: UlaGeometry, paths: PathSet) -> np.ndarray:
@@ -269,6 +278,15 @@ class ReceivedBlock:
         return self.pilot_len + self.data_len
 
 
+@functools.lru_cache(maxsize=64)
+def _lower_mask(rows: int, cols: int):
+    """Read-only mask of the entries on and below the diagonal of a rows x
+    cols matrix, and their count."""
+    mask = np.tri(rows, cols, dtype=bool)
+    mask.setflags(write=False)
+    return mask, np.count_nonzero(mask)
+
+
 def simulate_reception(h: np.ndarray, config: TransmissionConfig, pilot_seq: np.ndarray,
                        rng: np.random.Generator, data: bool = True) -> ReceivedBlock:
     """Generate one received block for channel ``h``.
@@ -305,8 +323,8 @@ def simulate_reception(h: np.ndarray, config: TransmissionConfig, pilot_seq: np.
         rank = min(num_antennas, dof)
         # [v | T]: column 0 and the entries below T's diagonal are Gaussian.
         factor = np.zeros((num_antennas, rank + 1), dtype=np.complex128)
-        gaussian = np.tri(num_antennas, rank + 1, dtype=bool)
-        factor[gaussian] = _complex_normal(rng, np.count_nonzero(gaussian), var=config.noise_var)
+        gaussian, count = _lower_mask(num_antennas, rank + 1)
+        factor[gaussian] = _complex_normal(rng, count, var=config.noise_var)
         factor[:, 0] += math.sqrt(config.data_power * np.vdot(data_syms, data_syms).real) * h
         np.fill_diagonal(factor[:, 1:],
                          np.sqrt(config.noise_var * rng.standard_gamma(dof - np.arange(rank))))

@@ -171,20 +171,22 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
     ``(sweep_value, spec)`` pair of each point. Only the specs the command
     runs are built, and so checked: ``sweep`` with points gets no spec, so
     the base value of the swept key is not checked, and ``cdf`` and
-    ``spectrum`` get no points.
+    ``spectrum`` get no points. ``spectrum`` draws one realization, so its
+    spec takes the default trial count and not the config's.
     """
+    flags = vars(args) if args is not None else {}
+    command = flags.get("command")
     kwargs: Dict[str, object] = {
-        field: _parse_key(cfg, key, parse)
-        for key, (field, parse) in _SPEC_KEYS.items() if key in cfg}
+        field: _parse_key(cfg, key, parse) for key, (field, parse) in _SPEC_KEYS.items()
+        if key in cfg and not (command == "spectrum" and key == "trials")}
     # Where each key's value came from: the config, or a flag overriding it.
     sources = {key: f"{key} = {cfg[key]!r}" for key in _VALID_KEYS if key in cfg}
-    flags = vars(args) if args is not None else {}
     for key, (field, _) in _SPEC_KEYS.items():
         if flags.get(key) is not None:
             kwargs[field], sources[key] = flags[key], f"--{key} {flags[key]}"
     if flags.get("oracle_angles"):
         kwargs["angle_stage"], sources["angle_stage"] = "oracle", "--oracle-angles"
-    if flags.get("command") == "spectrum" and kwargs.get("angle_stage") == "oracle":
+    if command == "spectrum" and kwargs.get("angle_stage") == "oracle":
         raise ValueError(f"{sources['angle_stage']}: spectrum scans the angles, so it "
                          f"takes no oracle angle stage")
 
@@ -219,7 +221,6 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
     try:
         kwargs["angle_policy"] = _parse_key(cfg, "angles_deg", lambda text: AnglePolicy(
             fixed=tuple(np.deg2rad([float(v) for v in _parse_list(text)]))), AnglePolicy())
-        command = flags.get("command")
         # sweep runs only its points, which override the swept keys, and cdf
         # and spectrum only the spec; with no command both are built.
         spec = None if command == "sweep" and values else ExperimentSpec(**kwargs)

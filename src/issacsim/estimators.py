@@ -74,11 +74,13 @@ def empirical_snr(beamformer: np.ndarray, h: np.ndarray, data_power: float,
     """Receive SNR data_power * |v^H h|^2 / noise_var for a realized combiner.
 
     Averaging over trials is the caller's job; a zero ``noise_var`` yields
-    +inf.
+    +inf, or nan for a zero signal, without a warning.
     """
     signal = data_power * np.abs(np.vdot(beamformer, h)) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.divide(signal, noise_var))
+    if noise_var == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(signal, noise_var))
+    return float(signal / noise_var)
 
 
 def estimate_gains_multipath(h_ls: np.ndarray, thetas_hat: Sequence[float]
@@ -91,17 +93,22 @@ def estimate_gains_multipath(h_ls: np.ndarray, thetas_hat: Sequence[float]
     gains, since beamforming and pilot correlation are both linear in the
     pilot block. A Gram whose largest eigenvalue exceeds ``GRAM_COND_LIMIT``
     times its smallest (a non-positive smallest one included) means two
-    estimated angles collided and raises EstimationError. Returns the gains
-    and the channel estimate A @ gains.
+    estimated angles collided and raises EstimationError. One path's Gram is
+    the 1 x 1 ||a||^2, about M, which cannot collide: its gain is a
+    division. Returns the gains and the channel estimate A @ gains.
     """
     steer = steering_matrix(UlaGeometry(h_ls.shape[0]), thetas_hat)
     if steer.shape[1] > steer.shape[0]:
         raise ValueError("more paths than antennas")
     gram = steer.conj().T @ steer
-    eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[-1] > GRAM_COND_LIMIT * eigvals[0]:
-        raise EstimationError("estimated angles collided; gain system is singular")
-    gains = np.linalg.solve(gram, steer.conj().T @ h_ls)
+    projection = steer.conj().T @ h_ls
+    if steer.shape[1] == 1:
+        gains = projection / gram[0]
+    else:
+        eigvals = np.linalg.eigvalsh(gram)
+        if eigvals[-1] > GRAM_COND_LIMIT * eigvals[0]:
+            raise EstimationError("estimated angles collided; gain system is singular")
+        gains = np.linalg.solve(gram, projection)
     return gains, steer @ gains
 
 

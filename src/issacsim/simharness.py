@@ -197,7 +197,7 @@ def draw_realization(spec: ExperimentSpec, trial_index: int
     rng_angles, rng_trial = _trial_rngs(spec, trial_index)
     angles = sample_angles(spec.num_paths, rng_angles, spec.angle_policy)
     gains = sample_gains(spec.num_paths, rng_trial, spec.gain_policy)
-    paths = PathSet(angles=angles, gains=gains)
+    paths = PathSet._built(angles, gains)
     h = synthesize_channel(spec.geometry, paths)
     block = simulate_reception(h, spec.transmission, spec.pilot_seq, rng_trial,
                                data=spec.angle_stage == "estimated")

@@ -45,6 +45,8 @@ _NEWTON_STEPS = 6
 # u = sin(theta), about 6e-8 deg: Newton's quadratic convergence puts the
 # next step below rounding.
 _NEWTON_TOL = 1e-9
+# Grid offsets of a peak sample's bracket: its lower neighbor, itself, its upper one.
+_BRACKET = np.array([[-1], [0], [1]])
 
 
 @dataclass(frozen=True)
@@ -169,22 +171,24 @@ def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovarianc
 @dataclass(frozen=True)
 class ScanGrid:
     """Increasing scan angles (radians) inside (-pi/2, pi/2), copied, with the
-    read-only tables every scan over them reads, for k = 1 .. ``order``:
-    ``rows`` exp(j pi k sin(theta)) over the angles, ``phase`` j pi k and the
-    Newton ``factors`` 2, 2 j pi k, 2 (j pi k)^2. A form of dimension
-    dim <= order + 1 reads the first dim - 1 of each."""
+    read-only tables every scan over them reads: ``sines`` sin(theta) and,
+    for k = 1 .. ``order``, ``rows`` exp(j pi k sin(theta)) over the angles,
+    ``phase`` j pi k and the Newton ``factors`` 2, 2 j pi k, 2 (j pi k)^2. A
+    form of dimension dim <= order + 1 reads the first dim - 1 of each."""
 
     angles: np.ndarray
     order: int
+    sines: np.ndarray = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     phase: np.ndarray = field(init=False, repr=False, compare=False)
     factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         angles = np.array(self.angles, dtype=float)
+        sines = np.sin(angles)
         phase = 1j * np.pi * np.arange(1, self.order + 1)
-        tables = dict(angles=angles, phase=phase,
-                      rows=np.exp(phase[:, None] * np.sin(angles)[None, :]),
+        tables = dict(angles=angles, sines=sines, phase=phase,
+                      rows=np.exp(phase[:, None] * sines[None, :]),
                       factors=2.0 * np.stack((np.ones_like(phase), phase, phase * phase), 1))
         for name, table in tables.items():
             table.setflags(write=False)
@@ -294,16 +298,16 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of strict local maxima; plateaus collapse to their center.
 
     A run of equal samples is a maximum when it is strictly above the runs
-    on both sides; runs touching either end of the grid are not maxima.
+    on both sides; runs touching either end of the grid are not maxima. For
+    finite samples that is a rise (slope sign +1) whose next nonzero slope
+    is a fall (-1); the run between rise i -> i + 1 and fall j -> j + 1 is
+    samples i + 1 .. j.
     """
-    change = np.flatnonzero(values[1:] != values[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change - 1, [values.size - 1]))
-    # values[:1] rather than values[starts]: an empty vector has no runs.
-    run_values = np.concatenate((values[:1], values[change]))
-    inner = run_values[1:-1]
-    peaks = np.flatnonzero((inner > run_values[:-2]) & (inner > run_values[2:])) + 1
-    return (starts[peaks] + ends[peaks]) // 2
+    slope = np.sign(values[1:] - values[:-1])
+    steps = slope.nonzero()[0]
+    turns = slope[steps]
+    peaks = (turns[1:] - turns[:-1] == -2).nonzero()[0]
+    return (steps[peaks] + 1 + steps[peaks + 1]) // 2
 
 
 def _newton_peaks(sums: np.ndarray, grid: ScanGrid, idx: np.ndarray):
@@ -320,14 +324,16 @@ def _newton_peaks(sums: np.ndarray, grid: ScanGrid, idx: np.ndarray):
     # exp(j pi k u) @ weights is f(u) - c_0, f'(u) and f''(u).
     phase = grid.phase[:sums.size - 1]
     weights = sums[1:, None] * grid.factors[:sums.size - 1]
-    low, u, high = np.sin(grid.angles[idx + np.array([[-1], [0], [1]])])
+    low, u, high = grid.sines[idx + _BRACKET]
+    no_step = np.zeros(u.size)
     for _ in range(_NEWTON_STEPS):
         derivatives = (np.exp(u[:, None] * phase) @ weights).real
         curvature = derivatives[:, 2]
-        # An infinite divisor leaves a peak where f'' >= 0 in place.
-        stepped = np.minimum(np.maximum(
-            u - derivatives[:, 1] / np.where(curvature < 0, curvature, np.inf), low), high)
-        moved = np.abs(stepped - u).max()
+        # A zero step leaves a peak where f'' >= 0 in place.
+        step = np.divide(derivatives[:, 1], curvature, out=no_step.copy(), where=curvature < 0)
+        stepped = np.minimum(np.maximum(u - step, low), high)
+        # A list's max costs less than an array's for these few peaks.
+        moved = max(np.abs(stepped - u).tolist())
         u = stepped
         if moved <= _NEWTON_TOL:
             break

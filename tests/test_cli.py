@@ -624,6 +624,18 @@ class TestSpectrumCommand:
                                 f"no oracle angle stage\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", ["0", "5", "50"])
+    def test_config_trial_count_not_read(self, tmp_path, trials):
+        # spectrum draws one realization: a config's trials key, even an
+        # invalid 0, leaves the bytes of a run without the key.
+        written = []
+        for name, text in (("bare", "seed = 3\n"), ("trials", f"seed = 3\ntrials = {trials}\n")):
+            out = tmp_path / f"{name}.csv"
+            assert main(["spectrum", "--config", _write(tmp_path, f"{name}.cfg", text),
+                         "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_missing_config_file_errors(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x.csv")])

@@ -147,6 +147,14 @@ class TestEmpiricalSnr:
         gamma = empirical_snr(beam, h, data_power=2.0, noise_var=1.0)
         assert gamma == pytest.approx(2.0 * abs(alpha) ** 2 * 16, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_noise_without_warning(self):
+        # Noiseless diagnostic runs: +inf for a signal, nan for none, and no
+        # RuntimeWarning either way.
+        h = np.array([1.0, 1.0j])
+        assert empirical_snr(h / np.linalg.norm(h), h, 1.0, 0.0) == np.inf
+        assert np.isnan(empirical_snr(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0, 0.0))
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_cauchy_schwarz_bound(self, seed):
@@ -277,6 +285,53 @@ class TestGainLos:
         gains, h_hat = _gains(block, [-0.29], 0.1)
         rebuilt = gains[0] * _steer(geom, -0.29)
         np.testing.assert_allclose(h_hat, rebuilt, atol=1e-14)
+
+
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built with, '' where numpy does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return ""
+    return f"{blas.get('name', '')} {blas.get('version', '')}"
+
+
+# The BLAS on which one path's division was checked to equal
+# np.linalg.solve bit for bit (its triangular solve also multiplies by the
+# reciprocal of the real 1 x 1 Gram, as numpy's complex division does).
+_EXACT_SOLVE = "openblas 0.3.31" in _blas().lower()
+
+
+class TestGainSinglePath:
+    """One path divides A^H h by its 1 x 1 Gram instead of calling LAPACK."""
+
+    @pytest.mark.parametrize("num_antennas", [2, 8, 32, 64])
+    def test_matches_lapack_solve(self, num_antennas):
+        # 0 ulp on the OpenBLAS release it was checked on; on any other BLAS
+        # (CI installs whatever numpy wheel is current) the 12 significant
+        # digits the golden CSV digests keep.
+        rng = np.random.default_rng(num_antennas)
+        geom = UlaGeometry(num_antennas)
+        for theta in rng.uniform(-1.5, 1.5, 200):
+            steer = steering_matrix(geom, [theta])
+            h_ls = rng.standard_normal(num_antennas) + 1j * rng.standard_normal(num_antennas)
+            gains, h_hat = estimate_gains_multipath(h_ls, [theta])
+            reference = np.linalg.solve(steer.conj().T @ steer, steer.conj().T @ h_ls)
+            if _EXACT_SOLVE:
+                assert gains.tobytes() == reference.tobytes()
+            else:
+                np.testing.assert_allclose(gains, reference, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(h_hat, steer @ gains)
+
+    @given(theta=st.floats(-np.pi / 2, np.pi / 2, exclude_min=True, exclude_max=True),
+           num_antennas=st.integers(1, 64), zero=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_never_collides(self, theta, num_antennas, zero):
+        # Any angle, also at the edge of the field of view, and a zero LS
+        # estimate: one steering vector's Gram is positive.
+        h_ls = np.zeros(num_antennas, complex) if zero else np.ones(num_antennas, complex)
+        gains, _ = estimate_gains_multipath(h_ls, [theta])
+        assert gains.shape == (1,) and np.isfinite(gains).all()
 
 
 class TestGainsMultipath:

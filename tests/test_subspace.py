@@ -707,7 +707,28 @@ def test_make_angle_grid_rejects_bad_step(step_deg):
         make_angle_grid(step_deg=step_deg, order=1)
 
 
+def _brute_force_maxima(values):
+    """Centers (i + j) // 2 of the runs i..j of equal samples that are strictly
+    above the runs on both sides."""
+    runs = []
+    for k, value in enumerate(values):
+        if runs and values[runs[-1][0]] == value:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return [(i + j) // 2 for (i, j), before, after in zip(runs[1:-1], runs, runs[2:])
+            if values[i] > values[before[0]] and values[i] > values[after[0]]]
+
+
 class TestPeakSearchMatchesReferenceLoop:
+    # Short vectors of a few integers make plateaus and runs at either end
+    # common; derandomized, so every run draws the same examples.
+    @given(st.lists(st.integers(0, 3), max_size=12))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matches_brute_force_runs(self, samples):
+        values = np.array(samples, dtype=float)
+        assert _local_maxima(values).tolist() == _brute_force_maxima(values)
+
     # A 3- or 4-letter alphabet makes plateaus, equal peaks and runs at
     # either end common.
     @given(st.integers(min_value=3, max_value=4).flatmap(
