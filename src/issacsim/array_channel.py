@@ -140,7 +140,7 @@ class AnglePolicy:
 
     def __post_init__(self):
         if self.fixed is not None:
-            with blame("angle_list"):
+            with blame("angle_policy"):
                 fixed = _check_angles(self.fixed)
                 if np.unique(fixed).size != fixed.size:
                     raise ValueError("path angles must be pairwise distinct")
@@ -154,8 +154,9 @@ class AnglePolicy:
             raise SpecError("num_paths", "num_paths must be >= 1")
         if self.fixed is not None:
             if len(self.fixed) != num_paths:
-                raise SpecError("num_paths angle_list", f"policy fixes {len(self.fixed)} "
-                                                        f"angles but {num_paths} paths requested")
+                raise SpecError("num_paths angle_policy",
+                                f"policy fixes {len(self.fixed)} angles but {num_paths} "
+                                f"paths requested")
             return
         span = math.sin(_ANGLE_HIGH) - math.sin(_ANGLE_LOW)
         if (num_paths - 1) * _MIN_SIN_SEP >= span:

@@ -87,19 +87,22 @@ def _parse_list(text: str) -> List[str]:
     return [item for item in items if item]
 
 
+def _parse_angles(text: str) -> AnglePolicy:
+    """Fixed path angles from a list of degrees."""
+    return AnglePolicy(fixed=tuple(np.deg2rad([float(v) for v in _parse_list(text)])))
+
+
 def _parse_points(axis: str, text: str) -> Tuple[float, ...]:
-    """Sweep points: linear transmit SNRs on the power axes, integers on the others."""
-    power = axis in _POWER_AXES
-    values = tuple(_parse_power(v) if power else float(v) for v in _parse_list(text))
+    """Sweep points, each parsed as a value of the axis key."""
+    values = tuple(map(_SPEC_KEYS[axis][1], _parse_list(text)))
     if not values:
         raise ValueError("sweep_values must be nonempty when given")
-    if not power and not all(v.is_integer() for v in values):
-        raise ValueError(f"sweep_values on the {axis!r} axis must be integers")
     return values
 
 
 # Config keys that set one ExperimentSpec field: key -> (field, parser).
-# A CLI flag named like one of these keys (--seed, --trials) overrides it.
+# pt and pd are transmit SNRs, which build_spec scales by sigma2. A CLI
+# flag named like one of these keys (--seed, --trials) overrides it.
 _SPEC_KEYS = {
     "m": ("num_antennas", int),
     "l": ("num_paths", int),
@@ -111,13 +114,12 @@ _SPEC_KEYS = {
     "seed": ("base_seed", int),
     "angle_stage": ("angle_stage", str.lower),
     "grid_step_deg": ("grid_step_deg", float),
+    "angles_deg": ("angle_policy", _parse_angles),
+    "pt": ("pilot_pow", _parse_power),
+    "pd": ("data_pow", _parse_power),
+    "sigma2": ("noise_var", _parse_power),
 }
-# Every key that sets a spec value, with the ExperimentSpec field (or the
-# fixed angle list) it sets, to name the keys of a SpecError's fields.
-# The sweep keys set none.
-_KEY_FIELDS = {key: field for key, (field, _) in _SPEC_KEYS.items()} | {
-    "angles_deg": "angle_list", "pt": "pilot_pow", "pd": "data_pow", "sigma2": "noise_var"}
-_VALID_KEYS = (*_KEY_FIELDS, "axis", "sweep_values")
+_VALID_KEYS = (*_SPEC_KEYS, "axis", "sweep_values")
 
 
 def _parse_key(cfg: Dict[str, str], key: str, parse: Callable[[str], Any],
@@ -190,12 +192,10 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
         raise ValueError(f"{sources['angle_stage']}: spectrum scans the angles, so it "
                          f"takes no oracle angle stage")
 
-    noise_var = _parse_key(cfg, "sigma2", _parse_power, 1.0)
-    kwargs["noise_var"] = noise_var
-    if "pt" in cfg:
-        kwargs["pilot_pow"] = _power_from_snr(_parse_key(cfg, "pt", _parse_power), noise_var)
-    if "pd" in cfg:
-        kwargs["data_pow"] = _power_from_snr(_parse_key(cfg, "pd", _parse_power), noise_var)
+    noise_var = kwargs.get("noise_var", 1.0)
+    for field in ("pilot_pow", "data_pow"):
+        if field in kwargs:
+            kwargs[field] = _power_from_snr(kwargs[field], noise_var)
 
     cfg_axis = cfg["axis"].lower() if "axis" in cfg else None
     if cfg_axis not in (None, *_AXES):
@@ -219,19 +219,17 @@ def build_spec(cfg: Dict[str, str], args: Optional[argparse.Namespace] = None
         key: text for key, text in sources.items() if key not in keys}
 
     try:
-        kwargs["angle_policy"] = _parse_key(cfg, "angles_deg", lambda text: AnglePolicy(
-            fixed=tuple(np.deg2rad([float(v) for v in _parse_list(text)]))), AnglePolicy())
         # sweep runs only its points, which override the swept keys, and cdf
         # and spectrum only the spec; with no command both are built.
         spec = None if command == "sweep" and values else ExperimentSpec(**kwargs)
         sources = point_sources  # from here on, errors are those of the points
         power = axis in _POWER_AXES
         points = tuple((_to_db(v) if power else v, ExperimentSpec(**kwargs | {
-            _KEY_FIELDS[key]: _power_from_snr(v, noise_var) if power else int(v) for key in keys}))
+            _SPEC_KEYS[key][0]: _power_from_snr(v, noise_var) if power else v for key in keys}))
             for v in (values if command in (None, "sweep") else ()))
     except SpecError as exc:
         named = ", ".join(text for key, text in sources.items()
-                          if _KEY_FIELDS.get(key) in exc.fields)
+                          if key in _SPEC_KEYS and _SPEC_KEYS[key][0] in exc.fields)
         raise ValueError(f"{named}: {exc}" if named else str(exc)) from None
     return spec, (axis, points)
 
@@ -312,43 +310,33 @@ def _cmd_spectrum(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_args(parser: argparse.ArgumentParser, with_trials: bool = True,
-                     with_axis: bool = False) -> None:
-    parser.add_argument("--config", metavar="PATH", default=None,
-                        help="flat key=value config file")
-    parser.add_argument("--out", metavar="PATH", required=True,
-                        help="output CSV path (directories are created)")
-    parser.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="override the base seed")
-    if with_trials:
-        parser.add_argument("--trials", type=int, default=None, metavar="N",
-                            help="override the trial count")
-    parser.add_argument("--oracle-angles", action="store_true",
-                        help="skip angle estimation and use the true angles")
-    if with_axis:
-        parser.add_argument("--axis", choices=tuple(_AXES), default=None,
-                            help="sweep axis")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="issacsim",
         description="Uplink SIMO channel-estimation simulator: pilot LS vs "
                     "subspace angle-then-gain estimation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep with theory columns")
-    _add_common_args(p_sweep, with_axis=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_cdf = sub.add_parser("cdf", help="receive-SNR CDFs at a fixed point")
-    _add_common_args(p_cdf)
-    p_cdf.set_defaults(func=_cmd_cdf)
-
-    p_spec = sub.add_parser("spectrum", help="pseudospectra of one realization")
-    # spectrum draws one realization, so it takes no trial count.
-    _add_common_args(p_spec, with_trials=False)
-    p_spec.set_defaults(func=_cmd_spectrum)
+    for name, handler, help_text in (
+            ("sweep", _cmd_sweep, "parameter sweep with theory columns"),
+            ("cdf", _cmd_cdf, "receive-SNR CDFs at a fixed point"),
+            ("spectrum", _cmd_spectrum, "pseudospectra of one realization")):
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=handler)
+        command.add_argument("--config", metavar="PATH", default=None,
+                             help="flat key=value config file")
+        command.add_argument("--out", metavar="PATH", required=True,
+                             help="output CSV path (directories are created)")
+        command.add_argument("--seed", type=int, default=None, metavar="U64",
+                             help="override the base seed")
+        # spectrum draws one realization, so it takes no trial count.
+        if name != "spectrum":
+            command.add_argument("--trials", type=int, default=None, metavar="N",
+                                 help="override the trial count")
+        command.add_argument("--oracle-angles", action="store_true",
+                             help="skip angle estimation and use the true angles")
+        if name == "sweep":
+            command.add_argument("--axis", choices=tuple(_AXES), default=None,
+                                 help="sweep axis")
 
     args = parser.parse_args(argv)
     try:

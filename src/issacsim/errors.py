@@ -4,8 +4,7 @@ import contextlib
 
 
 class SpecError(ValueError):
-    """A rejected experiment value; ``fields`` lists the spec fields at fault,
-    or angle_list for a fixed list of angles."""
+    """A rejected experiment value; ``fields`` lists the spec fields at fault."""
 
     def __init__(self, fields: str, message: str):
         super().__init__(message)

@@ -56,6 +56,11 @@ __all__ = [
 _ANGLE_STREAM = 1
 _TRIAL_STREAM = 2
 
+# Bounds of the transmit SNRs and of a nonzero noise variance, +-300 dB:
+# past them a trial's powers, norms and SNRs overflow or underflow. The
+# slack keeps a bound SNR that was scaled by noise_var and back inside.
+_MIN_RATIO, _MAX_RATIO = 1e-30 * (1.0 - 1e-12), 1e30 * (1.0 + 1e-12)
+
 # Finest accepted scan step, 178 001 grid points. A much finer step asks
 # numpy for more memory than a machine has (1.3 TiB at 1e-9 deg); the
 # finest shipped step is 0.02 deg.
@@ -119,6 +124,15 @@ class ExperimentSpec:
                 raise SpecError(name, "powers must be positive")
         if not self.noise_var >= 0:
             raise SpecError("noise_var", "noise_var must be nonnegative")
+        if self.noise_var and not _MIN_RATIO <= self.noise_var <= _MAX_RATIO:
+            raise SpecError("noise_var", f"noise_var must be 0 or in [1e-30, 1e30] "
+                                         f"(+-300 dB), got {self.noise_var:.6g}")
+        for name in ("pilot_pow", "data_pow"):
+            # The transmit SNR; with zero noise the power itself.
+            snr = getattr(self, name) / (self.noise_var or 1.0)
+            if not _MIN_RATIO <= snr <= _MAX_RATIO:
+                raise SpecError(name, f"transmit SNR {name} / noise_var must be in "
+                                      f"[1e-30, 1e30] (+-300 dB), got {snr:.6g}")
         if not _MIN_GRID_STEP_DEG <= self.grid_step_deg < np.inf:
             raise SpecError("grid_step_deg", f"grid_step_deg must be finite and >= "
                                              f"{_MIN_GRID_STEP_DEG}, got {self.grid_step_deg}")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from issacsim.array_channel import (
     AnglePolicy,
     PathSet,
+    ReceivedBlock,
     TransmissionConfig,
     UlaGeometry,
     _complex_normal,
@@ -105,6 +106,8 @@ class TestSteeringMatrix:
     def test_propagates_domain_error(self):
         with pytest.raises(ValueError):
             steering_matrix(UlaGeometry(4), [0.0, np.pi / 2])
+        with pytest.raises(ValueError, match="angles must be one-dimensional"):
+            steering_matrix(UlaGeometry(4), [[0.0, 0.1]])
 
 
 class TestSynthesizeChannel:
@@ -173,9 +176,21 @@ class TestPathSampling:
         gains = sample_gains(64, np.random.default_rng(3), policy="unit")
         np.testing.assert_allclose(np.abs(gains), 1.0, atol=1e-12)
 
+    def test_sample_gains_rejects_bad_input(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="num_paths must be >= 1"):
+            sample_gains(0, rng)
+        with pytest.raises(ValueError, match="unknown gain policy 'rayleigh'; use one of "
+                                             "gaussian, unit"):
+            sample_gains(2, rng, policy="rayleigh")
+
     def test_pathset_rejects_duplicate_angles(self):
         with pytest.raises(ValueError):
             PathSet(angles=[0.3, 0.3], gains=[1.0, 1.0])
+        with pytest.raises(ValueError, match="angles and gains must be one-dimensional"):
+            PathSet(angles=[[0.1, 0.2]], gains=[1.0, 1.0])
+        with pytest.raises(ValueError, match="need the same positive number of angles and gains"):
+            PathSet(angles=[0.1, 0.2], gains=[1.0])
 
 
 class TestPilotSequence:
@@ -270,6 +285,9 @@ class TestSimulateReception:
             simulate_reception(np.ones(4, dtype=complex), config,
                                generate_pilot_sequence(3),
                                np.random.default_rng(0))
+        with pytest.raises(ValueError, match="h must be a vector"):
+            simulate_reception(np.ones((4, 1), dtype=complex), config,
+                               generate_pilot_sequence(2), np.random.default_rng(0))
 
 
 class TestDataGramDistribution:
@@ -336,6 +354,21 @@ class TestConfigValidation:
         values = dict(pilot_len=1, data_len=1, pilot_power=1.0, data_power=1.0, noise_var=1.0)
         with pytest.raises(ValueError, match=message):
             TransmissionConfig(**{**values, field: float("nan")})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"pilot_obs": np.ones(4)}, "pilot observations must be two-dimensional"),
+        ({"pilot_seq": np.ones(3)}, "pilot_seq length must match pilot_obs columns"),
+        ({"data_len": 2.5}, "data_len must be a nonnegative integer"),
+        ({"data_len": -1}, "data_len must be a nonnegative integer"),
+        ({"data_gram": np.eye(3)}, "data_gram must be M x M for the M rows of pilot_obs"),
+    ], ids=["one_dim_pilots", "pilot_length", "fractional_data_len", "negative_data_len",
+            "gram_shape"])
+    def test_received_block_rejects_bad_shapes(self, changes, message):
+        values = dict(pilot_obs=np.ones((4, 2)), data_gram=np.eye(4), data_len=5,
+                      pilot_seq=np.ones(2))
+        ReceivedBlock(**values)
+        with pytest.raises(ValueError, match=message):
+            ReceivedBlock(**{**values, **changes})
 
     def test_geometry_rejects_nonpositive(self):
         with pytest.raises(ValueError):

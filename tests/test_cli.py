@@ -293,6 +293,18 @@ class TestConfigParsing:
         # Found when the spec is built, not at the first trial's draw.
         ("angles_deg = 0, 0, 1\nl = 3\n", [],
          "error: angles_deg = '0, 0, 1': path angles must be pairwise distinct"),
+        ("sigma2 = -1\n", [], "error: sigma2 = '-1': noise_var must be nonnegative"),
+        # Powers and noise past +-300 dB would run to nan or inf, or fail a trial.
+        ("sigma2 = 1e-320\n", [],
+         "error: sigma2 = '1e-320': noise_var must be 0 or in [1e-30, 1e30]"),
+        ("pt = 1e-320\n", [],
+         "error: pt = '1e-320': transmit SNR pilot_pow / noise_var must be in [1e-30, 1e30]"),
+        ("pd = 1e308\n", [],
+         "error: pd = '1e308': transmit SNR data_pow / noise_var must be in [1e-30, 1e30]"),
+        ("pt = 1e308\n", [],
+         "error: pt = '1e308': transmit SNR pilot_pow / noise_var must be in [1e-30, 1e30]"),
+        ("axis = pd\nsweep_values = 0 dB, 301 dB\n", [],
+         "error: sweep_values = '0 dB, 301 dB': transmit SNR pilot_pow / noise_var must be in"),
     ], ids=["mode", "angle_stage", "base_seed", "empty_sweep_values",
             "zero_pilots_sweep_point", "small_array_sweep_point", "small_array_default_point",
             "small_array_default_point_from_config", "overridden_axis_with_points",
@@ -300,7 +312,9 @@ class TestConfigParsing:
             "zero_trials", "zero_trials_flag", "los_with_three_paths", "zero_data_power",
             "zero_data_len", "small_array", "single_antenna_estimated",
             "more_paths_than_antennas", "coarse_grid", "unknown_gain_policy",
-            "fixed_angle_count", "fixed_angle_count_beside_range", "repeated_fixed_angle"])
+            "fixed_angle_count", "fixed_angle_count_beside_range", "repeated_fixed_angle",
+            "negative_noise", "tiny_noise", "tiny_pilot_snr", "huge_data_snr",
+            "huge_pilot_snr", "huge_snr_sweep_point"])
     def test_bad_spec_value_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                      text, flags, message):
         # Each spec value is checked once, when the spec is built, and its
@@ -397,30 +411,33 @@ class TestSweepCommand:
     @pytest.mark.parametrize("axis", ["pt", "pd"])
     def test_noiseless_power_sweep_runs(self, tmp_path, axis):
         # Power sweep points are transmit SNRs; with sigma2 = 0 they are
-        # taken as absolute powers, as the pt/pd keys are.
-        cfg_path = _write(tmp_path, "run.cfg",
-                          f"sigma2 = 0\naxis = {axis}\nsweep_values = -10 dB, 0 dB\n")
+        # taken as absolute powers, as the pt/pd keys are. The +-300 dB
+        # bounds are admitted and run to finite errors.
+        cfg_path = _write(tmp_path, "run.cfg", f"sigma2 = 0\naxis = {axis}\n"
+                                               f"sweep_values = -300 dB, -10 dB, 0 dB, 300 dB\n")
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config", cfg_path, "--out", str(out),
                      "--trials", "3", "--oracle-angles"])
         assert code == 0
         header, rows = _read_csv(out)
-        assert len(rows) == 2
+        assert len(rows) == 4
         for row in rows:
             record = dict(zip(header, row))
             assert np.isfinite(float(record["e_cp_sim"]))
             assert np.isfinite(float(record["e_lp_sim"]))
 
     def test_fractional_count_sweep_exits_2(self, tmp_path, capsys):
+        # A count point is parsed as its key is, so 8.0 fails as m = 8.0 does.
         for axis in ("m", "rho"):
-            cfg_path = _write(tmp_path, "run.cfg", f"axis = {axis}\nsweep_values = 16.7\n")
-            code = main(["sweep", "--config", cfg_path, "--out",
-                         str(tmp_path / "x.csv"), "--trials", "1", "--oracle-angles"])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert "integers" in err
-
+            for text in ("16.7", "8.0"):
+                cfg_path = _write(tmp_path, "run.cfg", f"axis = {axis}\nsweep_values = {text}\n")
+                code = main(["sweep", "--config", cfg_path, "--out",
+                             str(tmp_path / "x.csv"), "--trials", "1", "--oracle-angles"])
+                assert code == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: sweep_values = '{text}': invalid literal for int()")
+                assert err.count("\n") == 1
+                assert not (tmp_path / "x.csv").exists()
 
     def test_swept_key_base_value_blocks_only_the_base_point(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -524,6 +541,21 @@ class TestCdfCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "sigma2" in captured.err
+
+    @pytest.mark.parametrize("sigma2", ["1e-30", "1", "1e30"])
+    def test_power_bounds_run_finite(self, tmp_path, sigma2):
+        # The +-300 dB corners of the transmit SNRs and the noise variance.
+        for snr in ("1e-30", "1e30"):
+            for mode in ("l = 3\n", "l = 1\nmode = los\n"):
+                cfg_path = _write(tmp_path, "run.cfg",
+                                  f"sigma2 = {sigma2}\npt = {snr}\npd = {snr}\n{mode}")
+                out = tmp_path / "cdf.csv"
+                assert main(["cdf", "--config", cfg_path, "--out", str(out),
+                             "--trials", "2"]) == 0
+                lines = out.read_text(encoding="utf-8").splitlines()
+                comments = [float(line.split("=")[1]) for line in lines if line[0] == "#"]
+                _, rows = _read_csv(out)
+                assert np.isfinite(comments).all() and np.isfinite(np.float64(rows)).all()
 
     def test_all_trials_failed_exits_1_without_csv(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.cfg", "grid_step_deg = 30\n")

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness: trials, their summary, sweeps, CDFs."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import issacsim.simharness as harness
 from issacsim.array_channel import AnglePolicy
-from issacsim.cli import build_spec, main
+from issacsim.cli import _SPEC_KEYS, build_spec, main
 from issacsim.errors import EstimationError, SpecError
 from issacsim.estimators import ls_conventional, mrc_beamformer, empirical_snr
 from issacsim.simharness import (
@@ -20,8 +22,37 @@ from issacsim.simharness import (
     _match_angles,
     nrmse,
     run_trial,
+    snr_cdfs,
     summarize,
 )
+
+# Spec values that a check rejects, with the fields its SpecError names.
+SPEC_REJECTIONS = [
+    ({"base_seed": -1}, ["base_seed"]),
+    ({"mode": "los"}, ["mode", "num_paths"]),
+    ({"gain_policy": "foo"}, ["gain_policy"]),
+    ({"data_pow": 0.0}, ["data_pow"]),
+    ({"data_len": 0}, ["pilot_len", "data_len"]),
+    ({"num_antennas": 0}, ["num_antennas"]),
+    ({"pilot_len": 2.5}, ["pilot_len", "data_len"]),
+    ({"num_paths": 0}, ["num_paths"]),
+    ({"angle_policy": AnglePolicy(fixed=(0.1,))}, ["num_paths", "angle_policy"]),
+    # 20 gaps of sin 5 deg do not fit in the sine range of (-60, 60) deg.
+    ({"num_paths": 21, "num_antennas": 64}, ["num_paths"]),
+    ({"num_antennas": 4}, ["num_antennas", "num_paths"]),
+    # 4 grid points hold at most one interior local maximum, not 3 peaks
+    ({"grid_step_deg": 60.0}, ["grid_step_deg", "num_paths"]),
+    # The gain solve of any angle stage needs no more paths than antennas.
+    ({"num_antennas": 2, "angle_stage": "oracle"}, ["num_antennas", "num_paths"]),
+    ({"noise_var": -1.0}, ["noise_var"]),
+    # Transmit SNRs and a nonzero noise variance stay within +-300 dB.
+    ({"noise_var": 1e-31}, ["noise_var"]),
+    ({"noise_var": 1e31}, ["noise_var"]),
+    ({"pilot_pow": 1e-31}, ["pilot_pow"]),
+    ({"data_pow": 2e30}, ["data_pow"]),
+    ({"noise_var": 0.0, "data_pow": 1e31}, ["data_pow"]),
+    ({"noise_var": 1e10, "pilot_pow": 1e-21}, ["pilot_pow"]),
+]
 
 FIXED_ANGLES = AnglePolicy(fixed=tuple(np.deg2rad([-30.0, 0.0, 30.0])))
 
@@ -72,28 +103,33 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(pilot_len=0)
 
-    @pytest.mark.parametrize("changes, fields", [
-        ({"base_seed": -1}, ["base_seed"]),
-        ({"mode": "los"}, ["mode", "num_paths"]),
-        ({"gain_policy": "foo"}, ["gain_policy"]),
-        ({"data_pow": 0.0}, ["data_pow"]),
-        ({"data_len": 0}, ["pilot_len", "data_len"]),
-        ({"num_antennas": 0}, ["num_antennas"]),
-        ({"pilot_len": 2.5}, ["pilot_len", "data_len"]),
-        ({"num_paths": 0}, ["num_paths"]),
-        ({"angle_policy": AnglePolicy(fixed=(0.1,))}, ["num_paths", "angle_list"]),
-        # 20 gaps of sin 5 deg do not fit in the sine range of (-60, 60) deg.
-        ({"num_paths": 21, "num_antennas": 64}, ["num_paths"]),
-        ({"num_antennas": 4}, ["num_antennas", "num_paths"]),
-        # 4 grid points hold at most one interior local maximum, not 3 peaks
-        ({"grid_step_deg": 60.0}, ["grid_step_deg", "num_paths"]),
-        # The gain solve of any angle stage needs no more paths than antennas.
-        ({"num_antennas": 2, "angle_stage": "oracle"}, ["num_antennas", "num_paths"]),
-    ])
+    @pytest.mark.parametrize("changes, fields", SPEC_REJECTIONS)
     def test_rejection_names_its_fields(self, changes, fields):
         with pytest.raises(SpecError) as caught:
             ExperimentSpec(**changes)
         assert caught.value.fields == fields
+
+    def test_every_rejected_field_has_a_config_key(self):
+        # One table parses the config keys and names the keys of a SpecError,
+        # so its fields are spec init fields, and each field a check blames,
+        # by a literal in the source or in a rejection above, has a key.
+        table = [field for field, _ in _SPEC_KEYS.values()]
+        assert len(set(table)) == len(table)
+        assert set(table) <= {f.name for f in dataclasses.fields(ExperimentSpec) if f.init}
+        blamed = {field for _, fields in SPEC_REJECTIONS for field in fields}
+        for path in Path(harness.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                        in ("SpecError", "blame") and isinstance(node.args[0], ast.Constant)):
+                    blamed.update(node.args[0].value.split())
+        assert blamed <= set(table), blamed - set(table)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-30, 1.0, 3.0, 1e30])
+    def test_power_bounds_admit_their_corners(self, noise_var):
+        # A bound SNR scaled by any noise variance, as the CLI scales it, is admitted.
+        for snr in (1e-30, 1e30):
+            power = snr * noise_var if noise_var else snr
+            ExperimentSpec(pilot_pow=power, data_pow=power, noise_var=noise_var)
 
     def test_trial_objects_built_once_and_read_only(self, monkeypatch):
         spec = ExperimentSpec(num_trials=3)
@@ -360,6 +396,11 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_cdf([])
+        # snr_cdfs reads the trials that did not fail, so all-failed trials are empty.
+        trials = np.zeros(3, harness._trial_dtype(1)).view(np.recarray)
+        trials.failed = True
+        with pytest.raises(ValueError, match="all trials failed; no CDF to report"):
+            snr_cdfs(trials)
 
 
 class TestSweeps:
@@ -393,9 +434,12 @@ class TestSweeps:
         assert min(pd_db) == pytest.approx(-30.0) and max(pd_db) == pytest.approx(5.0)
 
     def test_fractional_count_sweep_rejected(self):
+        # A count point is parsed as its key is, so 8.0 fails as m = 8.0 does.
         for axis in ("m", "rho"):
-            with pytest.raises(ValueError, match="must be integers"):
-                _sweep(axis=axis, sweep_values=16.7)
+            for text in ("16.7", "8.0"):
+                with pytest.raises(ValueError, match=rf"^sweep_values = '{text}': "
+                                                     r"invalid literal for int\(\)"):
+                    _sweep(axis=axis, sweep_values=text)
         assert [spec.pilot_pow for _, spec in _sweep(axis="pt", sweep_values=0.5)] == [0.5]
         assert [spec.data_pow for _, spec in _sweep(axis="pd", sweep_values=0.5)] == [0.5]
 

@@ -137,6 +137,14 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             SampleCovariance(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]),
                              num_snapshots=1)
+        with pytest.raises(ValueError, match="covariance must be a square matrix"):
+            SampleCovariance(matrix=np.ones((2, 3)), num_snapshots=1)
+
+    def test_block_without_snapshots_rejected(self):
+        block = ReceivedBlock(pilot_obs=np.zeros((3, 0)), data_gram=np.zeros((3, 3)),
+                              data_len=0, pilot_seq=np.ones(0))
+        with pytest.raises(ValueError, match="block holds no snapshots"):
+            sample_covariance(block)
 
     def test_factory_outputs_positive_semidefinite(self):
         # snapshot averages, subarray slices, and the smoothed matrix are
@@ -396,6 +404,12 @@ class TestSubarrays:
     def test_inconsistent_plan_rejected(self):
         with pytest.raises(ValueError):
             SubarrayPlan(num_subarrays=2, subarray_size=4, parent_size=4)
+        with pytest.raises(ValueError, match="plan dimensions must be positive"):
+            SubarrayPlan(num_subarrays=0, subarray_size=5, parent_size=4)
+        # A consistent plan for another array size does not fit the block.
+        block = _block_from_snapshots(np.ones((6, 4)))
+        with pytest.raises(ValueError, match="plan parent_size does not match the block"):
+            subarray_covariances(block, SubarrayPlan.for_sources(8, 2))
 
     def test_for_sources_default(self):
         plan = SubarrayPlan.for_sources(32, 3)
@@ -551,6 +565,8 @@ class TestMusicSpectrum:
         cov = SampleCovariance(np.eye(3), 1)
         with pytest.raises(ValueError):
             music_spectrum(cov, 3, GRID)
+        with pytest.raises(ValueError, match="num_sources must be >= 1"):
+            music_spectrum(cov, 0, GRID)
 
 
 class TestFindPeaks:
@@ -673,6 +689,8 @@ class TestFindPeaks:
         grid = np.array([-0.1, 0.0, 0.1])
         with pytest.raises(ValueError):
             find_peaks(_sample_spectrum(grid, np.zeros(3)), 2)
+        with pytest.raises(ValueError, match="num_peaks must be >= 1"):
+            find_peaks(_sample_spectrum(grid, np.zeros(3)), 0)
 
 
 # The per-sample loops find_peaks used before its run-length form, kept
