@@ -44,10 +44,13 @@ _MAX_ANGLE_DRAWS = 500
 GAIN_POLICIES = ("gaussian", "unit")
 
 
-def _complex_normal(rng: np.random.Generator, shape=None, var: float = 1.0) -> np.ndarray:
-    """Circularly symmetric complex Gaussian samples with total variance ``var``."""
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
+    """Circularly symmetric complex Gaussian samples of ``shape`` (an int or a
+    tuple) with total variance ``var``, from one draw: all real parts, then
+    all imaginary parts."""
+    parts = rng.standard_normal((2, *shape) if isinstance(shape, tuple) else (2, shape))
+    parts *= math.sqrt(var / 2.0)
+    return parts.reshape(2, -1).T.copy().view(np.complex128).reshape(shape)
 
 
 def _check_angles(angles) -> np.ndarray:
@@ -63,22 +66,23 @@ def _check_angles(angles) -> np.ndarray:
 class UlaGeometry:
     """Uniform linear array with implicit half-wavelength element spacing.
 
-    ``positions`` holds the element positions 0 .. M - 1 in half
-    wavelengths, read-only. Building it allocates the first array of size M,
-    so a size no machine can hold fails here and not at a later draw.
+    ``phase`` holds the read-only column j*pi*m over the element positions
+    m = 0 .. M - 1 in half wavelengths, which every steering matrix reads.
+    Building it allocates the first array of size M, so a size no machine
+    can hold fails here and not at a later draw.
     """
 
     num_antennas: int
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.num_antennas
         if int(m) != m or m < 1:
             raise ValueError("num_antennas must be a positive integer")
-        positions = np.arange(int(m))
-        positions.setflags(write=False)
+        phase = 1j * np.pi * np.arange(int(m))[:, None]
+        phase.setflags(write=False)
         object.__setattr__(self, "num_antennas", int(m))
-        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "phase", phase)
 
 
 def steering_matrix(geom: UlaGeometry, angles: Sequence[float]) -> np.ndarray:
@@ -90,7 +94,7 @@ def steering_matrix(geom: UlaGeometry, angles: Sequence[float]) -> np.ndarray:
     angles = _check_angles(np.atleast_1d(angles))
     if angles.ndim != 1:
         raise ValueError("angles must be one-dimensional")
-    return np.exp(1j * np.pi * geom.positions[:, None] * np.sin(angles)[None, :])
+    return np.exp(geom.phase * np.sin(angles)[None, :])
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,8 @@ class AnglePolicy:
 
 def sample_angles(num_paths: int, rng: np.random.Generator,
                   policy: AnglePolicy = AnglePolicy()) -> np.ndarray:
-    """Draw ``num_paths`` angles under ``policy`` (sorted ascending).
+    """Draw ``num_paths`` angles under ``policy``: drawn ones sorted
+    ascending, a fixed list in its given order.
 
     Raises ValueError if the separation constraint cannot be met within
     ``_MAX_ANGLE_DRAWS`` attempts, taking the policy to be infeasible.
@@ -280,12 +285,17 @@ class ReceivedBlock:
 
 
 @functools.lru_cache(maxsize=64)
-def _lower_mask(rows: int, cols: int):
+def _lower_mask(rows: int, cols: int, dof: int):
     """Read-only mask of the entries on and below the diagonal of a rows x
-    cols matrix, and their count."""
+    cols [v | T] factor, their count, the flat indices of T's diagonal
+    (rank = cols - 1 entries) and T's Gamma shapes dof - i."""
     mask = np.tri(rows, cols, dtype=bool)
-    mask.setflags(write=False)
-    return mask, np.count_nonzero(mask)
+    rank = cols - 1
+    diagonal = np.arange(rank) * (cols + 1) + 1
+    shapes = dof - np.arange(rank)
+    for table in (mask, diagonal, shapes):
+        table.setflags(write=False)
+    return mask, np.count_nonzero(mask), diagonal, shapes
 
 
 def simulate_reception(h: np.ndarray, config: TransmissionConfig, pilot_seq: np.ndarray,
@@ -317,18 +327,17 @@ def simulate_reception(h: np.ndarray, config: TransmissionConfig, pilot_seq: np.
     num_antennas = h.size
     data_syms = _complex_normal(rng, config.data_len)
     pilot_noise = _complex_normal(rng, (num_antennas, config.pilot_len), var=config.noise_var)
-    pilot_obs = np.sqrt(config.pilot_power) * np.outer(h, pilot_seq) + pilot_noise
+    pilot_obs = math.sqrt(config.pilot_power) * (h[:, None] * pilot_seq) + pilot_noise
     data_gram = None
     if data:
         dof = config.data_len - 1
         rank = min(num_antennas, dof)
         # [v | T]: column 0 and the entries below T's diagonal are Gaussian.
         factor = np.zeros((num_antennas, rank + 1), dtype=np.complex128)
-        gaussian, count = _lower_mask(num_antennas, rank + 1)
+        gaussian, count, diagonal, shapes = _lower_mask(num_antennas, rank + 1, dof)
         factor[gaussian] = _complex_normal(rng, count, var=config.noise_var)
         factor[:, 0] += math.sqrt(config.data_power * np.vdot(data_syms, data_syms).real) * h
-        np.fill_diagonal(factor[:, 1:],
-                         np.sqrt(config.noise_var * rng.standard_gamma(dof - np.arange(rank))))
+        factor.ravel()[diagonal] = np.sqrt(config.noise_var * rng.standard_gamma(shapes))
         data_gram = factor @ factor.conj().T
     return ReceivedBlock(pilot_obs=pilot_obs, data_gram=data_gram,
                          data_len=config.data_len, pilot_seq=pilot_seq)

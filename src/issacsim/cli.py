@@ -17,6 +17,7 @@ Angles are degrees in config files and CSV output, radians internally.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -310,7 +311,9 @@ def _cmd_spectrum(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="issacsim",
         description="Uplink SIMO channel-estimation simulator: pilot LS vs "
@@ -337,8 +340,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if name == "sweep":
             command.add_argument("--axis", choices=tuple(_AXES), default=None,
                                  help="sweep axis")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         spec, sweep = build_spec(load_run_config(args.config), args)
         # sweep runs the points of the sweep; cdf and spectrum run the spec.

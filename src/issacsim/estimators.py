@@ -14,6 +14,8 @@ post-combining receive SNR of the conventional route.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -61,9 +63,14 @@ def ls_conventional(block: ReceivedBlock, pilot_power: float) -> np.ndarray:
     return block.pilot_obs @ block.pilot_seq.conj() / np.sqrt(pilot_power * rho**2)
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a vector: the same expression, without the wrapper."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def mrc_beamformer(h_hat: np.ndarray) -> np.ndarray:
     """Unit-norm maximum-ratio combiner matched to a channel estimate."""
-    norm = np.linalg.norm(h_hat)
+    norm = _norm(h_hat)
     if norm == 0:
         raise ValueError("cannot beamform toward a zero channel estimate")
     return h_hat / norm
@@ -83,6 +90,12 @@ def empirical_snr(beamformer: np.ndarray, h: np.ndarray, data_power: float,
     return float(signal / noise_var)
 
 
+@functools.lru_cache(maxsize=64)
+def _geometry(num_antennas: int) -> UlaGeometry:
+    """One array geometry per size, shared by the gain solves."""
+    return UlaGeometry(num_antennas)
+
+
 def estimate_gains_multipath(h_ls: np.ndarray, thetas_hat: Sequence[float]
                              ) -> Tuple[np.ndarray, np.ndarray]:
     """Path gains from the LS estimate ``h_ls`` and the estimated angles.
@@ -97,11 +110,12 @@ def estimate_gains_multipath(h_ls: np.ndarray, thetas_hat: Sequence[float]
     the 1 x 1 ||a||^2, about M, which cannot collide: its gain is a
     division. Returns the gains and the channel estimate A @ gains.
     """
-    steer = steering_matrix(UlaGeometry(h_ls.shape[0]), thetas_hat)
+    steer = steering_matrix(_geometry(h_ls.shape[0]), thetas_hat)
     if steer.shape[1] > steer.shape[0]:
         raise ValueError("more paths than antennas")
-    gram = steer.conj().T @ steer
-    projection = steer.conj().T @ h_ls
+    steer_h = steer.conj().T
+    gram = steer_h @ steer
+    projection = steer_h @ h_ls
     if steer.shape[1] == 1:
         gains = projection / gram[0]
     else:

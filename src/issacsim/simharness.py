@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ from .array_channel import (
 from .errors import EstimationError, SpecError, blame
 from .estimators import (
     ClosedFormPredictions,
+    _norm,
     closed_form_predictions,
     empirical_snr,
     estimate_gains_multipath,
@@ -55,6 +57,21 @@ __all__ = [
 # trial statistically independent.
 _ANGLE_STREAM = 1
 _TRIAL_STREAM = 2
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx; NEP 19 keeps it
+# stable): its pool of 4 words and its hashmix/mix constants. Then PCG64's
+# 128-bit LCG multiplier, for seeding the set-seq way.
+_SEED_POOL = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# Trial indices hashed at once. A table takes about 40 kB, and the cache
+# keeps the last 8.
+_SEED_CHUNK = 256
+# Each thread sets the states of its own two generators.
+_thread_rngs = threading.local()
 
 # Bounds of the transmit SNRs and of a nonzero noise variance, +-300 dB:
 # past them a trial's powers, norms and SNRs overflow or underflow. The
@@ -191,12 +208,81 @@ def _trial_dtype(num_paths: int) -> np.dtype:
         ("failed", bool), ("failure_reason", object)]))
 
 
+def _uint32_words(value: int) -> list:
+    """A nonnegative int as SeedSequence takes it: 32-bit words, low first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_chunk(base_seed: int, stream: int, chunk: int) -> tuple:
+    """PCG64 (state, inc) of ``default_rng(SeedSequence((base_seed, stream, i)))``
+    for the 256 indices i of ``chunk``, whose entropy words fill at most the
+    pool: SeedSequence's hash on uint32 arrays, ``generate_state(4, uint64)``,
+    then PCG64's set-seq seeding in Python ints."""
+    index = np.arange(chunk * _SEED_CHUNK, (chunk + 1) * _SEED_CHUNK, dtype=np.uint64)
+    words = [*_uint32_words(base_seed), stream, index & _MASK32]
+    if chunk * _SEED_CHUNK > _MASK32:
+        words.append(index >> 32)
+    words += [0] * (_SEED_POOL - len(words))
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    pool = [hashmix(np.full(_SEED_CHUNK, word, np.uint32)) for word in words]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    hash_const = _HASH_INIT_B
+    state = []
+    for k in range(2 * _SEED_POOL):
+        value = pool[k % _SEED_POOL] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    seeds = np.array([state[k + 1] << 32 | state[k] for k in range(0, 2 * _SEED_POOL, 2)])
+    table = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in seeds.T.tolist():
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        table.append((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return tuple(table)
+
+
 def _trial_rngs(spec: ExperimentSpec, trial_index: int):
-    rng_angles = np.random.default_rng(
-        np.random.SeedSequence((spec.base_seed, _ANGLE_STREAM, trial_index)))
-    rng_trial = np.random.default_rng(
-        np.random.SeedSequence((spec.base_seed, _TRIAL_STREAM, trial_index)))
-    return rng_angles, rng_trial
+    """The angle and the gain-and-noise generators of a trial, each
+    ``default_rng(SeedSequence((base_seed, tag, trial_index)))``.
+
+    An int index whose entropy words fit the pool reads both PCG64 states
+    from the chunk tables into this thread's two reused generators. Any
+    other index builds new generators, so it raises what SeedSequence does.
+    """
+    seed = spec.base_seed
+    # (seed, tag, index) fits the pool of 4 words when both are below 2**64
+    # and one of them is below 2**32.
+    if (type(trial_index) is int and type(seed) is int and 0 <= trial_index
+            and min(seed, trial_index) <= _MASK32 and max(seed, trial_index) >> 64 == 0):
+        rngs = getattr(_thread_rngs, "pair", None)
+        if rngs is None:
+            rngs = _thread_rngs.pair = (np.random.Generator(np.random.PCG64(0)),
+                                        np.random.Generator(np.random.PCG64(0)))
+        chunk, offset = divmod(trial_index, _SEED_CHUNK)
+        for rng, stream in zip(rngs, (_ANGLE_STREAM, _TRIAL_STREAM)):
+            state, inc = _seed_chunk(seed, stream, chunk)[offset]
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
+        return rngs
+    return tuple(np.random.default_rng(np.random.SeedSequence((seed, stream, trial_index)))
+                 for stream in (_ANGLE_STREAM, _TRIAL_STREAM))
 
 
 def draw_realization(spec: ExperimentSpec, trial_index: int
@@ -225,10 +311,10 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> np.record:
     failure flag instead of raising, so batch runs always complete.
     """
     paths, h, block = draw_realization(spec, trial_index)
-    h_norm_sq = float(np.linalg.norm(h) ** 2)
+    h_norm_sq = _norm(h) ** 2
 
     h_cp = ls_conventional(block, spec.pilot_pow)
-    sq_error_cp = float(np.linalg.norm(h_cp - h) ** 2)
+    sq_error_cp = _norm(h_cp - h) ** 2
     snr_cp = empirical_snr(mrc_beamformer(h_cp), h, spec.data_pow, spec.noise_var)
 
     angle_errors = sq_error_lp = snr_lp = float("nan")
@@ -240,7 +326,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> np.record:
             thetas_hat = scan_angles(block, spec.num_paths, spec.angle_grid, spec.plan).angles
             angle_errors = _match_angles(thetas_hat, paths.angles)
         _, h_lp = estimate_gains_multipath(h_cp, thetas_hat)
-        sq_error_lp = float(np.linalg.norm(h_lp - h) ** 2)
+        sq_error_lp = _norm(h_lp - h) ** 2
         snr_lp = empirical_snr(mrc_beamformer(h_lp), h, spec.data_pow, spec.noise_var)
     except EstimationError as exc:
         failed, failure_reason = True, str(exc)

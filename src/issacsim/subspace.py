@@ -78,7 +78,10 @@ class SampleCovariance:
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.conj().T)
+    """0.5 (matrix + matrix^H), written over ``matrix``."""
+    matrix += matrix.conj().T
+    matrix *= 0.5
+    return matrix
 
 
 def sample_covariance(block: ReceivedBlock) -> SampleCovariance:
@@ -89,8 +92,10 @@ def sample_covariance(block: ReceivedBlock) -> SampleCovariance:
     n = block.num_snapshots
     if n < 1:
         raise ValueError("block holds no snapshots")
-    acc = block.pilot_obs @ block.pilot_obs.conj().T + block.data_gram
-    return SampleCovariance._built(_symmetrize(acc / n), n)
+    acc = block.pilot_obs @ block.pilot_obs.conj().T
+    acc += block.data_gram
+    acc /= n
+    return SampleCovariance._built(_symmetrize(acc), n)
 
 
 def hermitian_eigendecomposition(cov: SampleCovariance):
@@ -170,11 +175,13 @@ def forward_backward_smooth(covs: Sequence[SampleCovariance]) -> SampleCovarianc
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Increasing scan angles (radians) inside (-pi/2, pi/2), copied, with the
-    read-only tables every scan over them reads: ``sines`` sin(theta) and,
-    for k = 1 .. ``order``, ``rows`` exp(j pi k sin(theta)) over the angles,
-    ``phase`` j pi k and the Newton ``factors`` 2, 2 j pi k, 2 (j pi k)^2. A
-    form of dimension dim <= order + 1 reads the first dim - 1 of each."""
+    """Strictly increasing scan angles (radians) inside (-pi/2, pi/2), checked
+    and copied, with the read-only tables every scan over them reads:
+    ``sines`` sin(theta) and, for k = 1 .. ``order``, ``rows``
+    exp(j pi k sin(theta)) over the angles, ``phase`` j pi k and the Newton
+    ``factors`` 2, 2 j pi k, 2 (j pi k)^2. A form of dimension
+    dim <= order + 1 reads the first dim - 1 of each. The peak search needs
+    the order: a Newton step clips to the bracket of a peak's neighbors."""
 
     angles: np.ndarray
     order: int
@@ -185,6 +192,15 @@ class ScanGrid:
 
     def __post_init__(self):
         angles = np.array(self.angles, dtype=float)
+        if angles.ndim != 1 or not angles.size:
+            raise ValueError(f"scan angles must be a nonempty one-dimensional array, "
+                             f"got shape {angles.shape}")
+        inside = np.abs(angles) < np.pi / 2
+        if not inside.all():
+            raise ValueError(f"scan angle {angles[~inside][0]} rad outside the open "
+                             f"interval (-pi/2, pi/2)")
+        if not (angles[1:] > angles[:-1]).all():
+            raise ValueError("scan angles must be strictly increasing")
         sines = np.sin(angles)
         phase = 1j * np.pi * np.arange(1, self.order + 1)
         tables = dict(angles=angles, sines=sines, phase=phase,
@@ -324,20 +340,19 @@ def _newton_peaks(sums: np.ndarray, grid: ScanGrid, idx: np.ndarray):
     # exp(j pi k u) @ weights is f(u) - c_0, f'(u) and f''(u).
     phase = grid.phase[:sums.size - 1]
     weights = sums[1:, None] * grid.factors[:sums.size - 1]
-    low, u, high = grid.sines[idx + _BRACKET]
-    no_step = np.zeros(u.size)
+    # The bookkeeping of these few peaks runs on Python floats.
+    low, u, high = grid.sines[idx + _BRACKET].tolist()
     for _ in range(_NEWTON_STEPS):
-        derivatives = (np.exp(u[:, None] * phase) @ weights).real
-        curvature = derivatives[:, 2]
+        derivatives = (np.exp(np.multiply.outer(u, phase)) @ weights).real
         # A zero step leaves a peak where f'' >= 0 in place.
-        step = np.divide(derivatives[:, 1], curvature, out=no_step.copy(), where=curvature < 0)
-        stepped = np.minimum(np.maximum(u - step, low), high)
-        # A list's max costs less than an array's for these few peaks.
-        moved = max(np.abs(stepped - u).tolist())
+        stepped = [min(max(u_k - (slope / curvature if curvature < 0 else 0.0), low_k), high_k)
+                   for u_k, low_k, high_k, (_, slope, curvature)
+                   in zip(u, low, high, derivatives.tolist())]
+        moved = max([abs(new - old) for new, old in zip(stepped, u)])
         u = stepped
         if moved <= _NEWTON_TOL:
             break
-    return u, sums[0].real + derivatives[:, 0]
+    return np.array(u), sums[0].real + derivatives[:, 0]
 
 
 def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
@@ -361,10 +376,11 @@ def find_peaks(spectrum: Pseudospectrum, num_peaks: int) -> AngleEstimates:
             f"found {maxima.size} spectral peaks, need {num_peaks}")
     # maxima ascend, so a stable sort on descending value keeps the smaller
     # index first among equal peaks.
-    candidates = maxima[np.argsort(-values[maxima], kind="stable")[:2 * num_peaks]]
+    candidates = maxima[(-values[maxima]).argsort(kind="stable")[:2 * num_peaks]]
     u, height = _newton_peaks(spectrum.sums, grid, candidates)
-    angles = np.arcsin(u[np.argsort(-height, kind="stable")[:num_peaks]])
-    return AngleEstimates(angles=np.sort(angles), spectrum=spectrum)
+    angles = np.arcsin(u[(-height).argsort(kind="stable")[:num_peaks]])
+    angles.sort()
+    return AngleEstimates(angles=angles, spectrum=spectrum)
 
 
 def scan_angles(block: ReceivedBlock, num_sources: int, grid: ScanGrid,

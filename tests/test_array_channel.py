@@ -209,6 +209,21 @@ class TestPilotSequence:
             generate_pilot_sequence(0)
 
 
+class TestComplexNormal:
+    @pytest.mark.parametrize("shape, var", [(5, 1.0), (0, 1.0), ((3, 4), 0.5),
+                                            ((2, 1, 3), 2.0), (np.int64(7), 1e-30)])
+    def test_one_draw_equals_real_then_imaginary_draws(self, shape, var):
+        # One call draws all real parts, then all imaginary parts, as two
+        # calls of the shape did, and leaves the generator where they did.
+        one, two = np.random.default_rng(8), np.random.default_rng(8)
+        samples = _complex_normal(one, shape, var)
+        expected = np.sqrt(var / 2.0) * (two.standard_normal(shape)
+                                         + 1j * two.standard_normal(shape))
+        assert samples.shape == expected.shape and samples.dtype == np.complex128
+        assert samples.tobytes() == expected.tobytes()
+        assert one.bit_generator.state == two.bit_generator.state
+
+
 class TestSimulateReception:
     def _config(self, **kwargs):
         defaults = dict(pilot_len=2, data_len=3, pilot_power=1.0,

@@ -2,6 +2,10 @@
 
 import ast
 import dataclasses
+import re
+import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +64,21 @@ FIXED_ANGLES = AnglePolicy(fixed=tuple(np.deg2rad([-30.0, 0.0, 30.0])))
 def _sweep(**cfg):
     """The (sweep_value, spec) points the CLI builds from config keys."""
     return build_spec({key: str(value) for key, value in cfg.items()})[1][1]
+
+
+def _seeded_rngs(spec, trial_index):
+    """A trial's two generators as SeedSequence builds them, one per stream tag."""
+    return tuple(np.random.default_rng(np.random.SeedSequence((spec.base_seed, tag, trial_index)))
+                 for tag in (harness._ANGLE_STREAM, harness._TRIAL_STREAM))
+
+
+def _assert_same_record(one, two):
+    """Trial records equal field by field: floats bit for bit, nan included."""
+    for name in one.dtype.names:
+        if name == "failure_reason":
+            assert one[name] == two[name]
+        else:
+            assert np.asarray(one[name]).tobytes() == np.asarray(two[name]).tobytes(), name
 
 
 def _fail_every_third_scan(monkeypatch):
@@ -258,6 +277,95 @@ class TestRunTrial:
         forward = [run_trial(spec, i).sq_error_cp for i in range(6)]
         backward = [run_trial(spec, i).sq_error_cp for i in reversed(range(6))]
         assert forward == backward[::-1]
+
+
+# Seeds and trial indices around the 32-bit word boundaries and the 256-index
+# chunks of the seed tables.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
+EDGE_INDICES = [0, 1, 255, 256, 2**32 - 1, 2**32, 2**32 + 255, 2**40 + 3, 2**64 - 1]
+
+
+class TestTrialStreams:
+    @given(seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_SEEDS),
+                          st.sampled_from([2**64, 2**70 + 3])),
+           index=st.one_of(st.integers(0, 1000), st.sampled_from(EDGE_INDICES),
+                           st.integers(2**32, 2**64 - 1), st.just(2**64 + 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_generators_equal_seedsequence_streams(self, seed, index):
+        # The chunk tables hold SeedSequence's PCG64 states where the entropy
+        # (seed, tag, index) fits its pool of 4 words; past that, and for
+        # larger seeds or indices, the generators are built by SeedSequence.
+        spec = types.SimpleNamespace(base_seed=seed)
+        fits = max(seed, index) < 2**64 and min(seed, index) < 2**32
+        for tag, rng, expected in zip((harness._ANGLE_STREAM, harness._TRIAL_STREAM),
+                                      harness._trial_rngs(spec, index),
+                                      _seeded_rngs(spec, index)):
+            state = expected.bit_generator.state
+            if fits:
+                table = harness._seed_chunk(seed, tag, index // 256)
+                assert table[index % 256] == (state["state"]["state"], state["state"]["inc"])
+            assert rng.bit_generator.state == state
+            assert rng.standard_normal(3).tobytes() == expected.standard_normal(3).tobytes()
+            assert rng.uniform() == expected.uniform()
+
+    @pytest.mark.parametrize("index", [-1, 1.0])
+    def test_bad_index_raises_as_seedsequence_does(self, index):
+        spec = ExperimentSpec(num_trials=1, angle_stage="oracle")
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence((spec.base_seed, harness._ANGLE_STREAM, index))
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            run_trial(spec, index)
+
+    def test_numpy_integer_index_is_its_int(self):
+        spec = ExperimentSpec(num_trials=1, mode="los", num_paths=1, base_seed=7)
+        _assert_same_record(run_trial(spec, np.int64(3)), run_trial(spec, 3))
+
+    @pytest.mark.parametrize("mode", [{}, {"mode": "los", "num_paths": 1}], ids=["multipath", "los"])
+    @pytest.mark.parametrize("angle_stage", ["estimated", "oracle"])
+    @pytest.mark.parametrize("base_seed", [5, 2**40 + 5, 2**64 + 5])
+    def test_rows_equal_lone_seedsequence_trials(self, monkeypatch, mode, angle_stage, base_seed):
+        # Row i of collect_trials is run_trial(spec, i) called alone, at
+        # indices inside and past num_trials, across a chunk boundary and
+        # past 2**32; both equal a trial whose generators SeedSequence built.
+        spec = ExperimentSpec(num_trials=4, base_seed=base_seed, angle_stage=angle_stage, **mode)
+        rows = collect_trials(spec)
+        longer = collect_trials(dataclasses.replace(spec, num_trials=6))
+        indices = [0, 3, 4, 5, 255, 256, 2**32 + 1]
+        harness._seed_chunk.cache_clear()
+        alone = {i: run_trial(spec, i) for i in indices}
+        monkeypatch.setattr(harness, "_trial_rngs", _seeded_rngs)
+        for i in indices:
+            _assert_same_record(alone[i], run_trial(spec, i))
+            if i < 4:
+                _assert_same_record(alone[i], rows[i])
+            if i < 6:
+                _assert_same_record(alone[i], longer[i])
+
+    def test_threads_equal_serial_runs(self):
+        # Each thread seeds generators of its own: three threads that
+        # interleave often still give each spec's serial rows.
+        specs = [ExperimentSpec(mode="los", num_paths=1, num_trials=300, base_seed=seed)
+                 for seed in (21, 22, 23)]
+        serial = [collect_trials(spec) for spec in specs]
+        threaded = [None] * len(specs)
+
+        def run(k):
+            threaded[k] = collect_trials(specs[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for rows, expected in zip(threaded, serial):
+            for i in range(len(expected)):
+                _assert_same_record(rows[i], expected[i])
 
 
 class TestFailureAccounting:

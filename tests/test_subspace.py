@@ -284,6 +284,29 @@ class TestBartlett:
         assert held < table_bytes
 
 
+class TestScanGridChecks:
+    @pytest.mark.parametrize("angles, message", [
+        ([], r"^scan angles must be a nonempty one-dimensional array, got shape \(0,\)$"),
+        (0.3, r"^scan angles must be a nonempty one-dimensional array, got shape \(\)$"),
+        ([[-0.2, 0.1], [0.2, 0.3]],
+         r"^scan angles must be a nonempty one-dimensional array, got shape \(2, 2\)$"),
+        ([-0.1, np.pi / 2], r"^scan angle 1\.5707963\d* rad outside the open interval"),
+        ([-2.0, 0.0], r"^scan angle -2\.0 rad outside the open interval"),
+        ([0.0, np.nan, 0.2], r"^scan angle nan rad outside the open interval"),
+        ([0.2, 0.1], r"^scan angles must be strictly increasing$"),
+        ([0.1, 0.1, 0.2], r"^scan angles must be strictly increasing$"),
+        # Decreasing: a Newton step would clip to an inverted bracket.
+        (np.deg2rad(np.linspace(89.0, -89.0, 357)), r"^scan angles must be strictly increasing$"),
+    ], ids=["empty", "scalar", "two_dim", "edge", "outside", "nan", "decreasing_pair",
+            "repeated", "decreasing_grid"])
+    def test_rejects_grid_the_peak_search_cannot_use(self, angles, message):
+        with pytest.raises(ValueError, match=message):
+            ScanGrid(angles, 7)
+
+    def test_single_angle_accepted(self):
+        assert len(ScanGrid([0.3], 7)) == 1
+
+
 class TestBartlettPolynomial:
     @given(seed=st.integers(0, 10**6), dim=st.integers(1, 12),
            grid=st.lists(st.floats(min_value=-1.55, max_value=1.55),
