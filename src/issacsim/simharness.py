@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -59,19 +58,15 @@ _ANGLE_STREAM = 1
 _TRIAL_STREAM = 2
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx; NEP 19 keeps it
-# stable): its pool of 4 words and its hashmix/mix constants. Then PCG64's
-# 128-bit LCG multiplier, for seeding the set-seq way.
+# stable): its pool of 4 words and its hashmix/mix constants.
 _SEED_POOL = 4
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# Trial indices hashed at once. A table takes about 40 kB, and the cache
-# keeps the last 8.
+_MASK32 = (1 << 32) - 1
+# Trial indices hashed at once. A table takes 8 kB, and the cache keeps the
+# last 8.
 _SEED_CHUNK = 256
-# Each thread sets the states of its own two generators.
-_thread_rngs = threading.local()
 
 # Bounds of the transmit SNRs and of a nonzero noise variance, +-300 dB:
 # past them a trial's powers, norms and SNRs overflow or underflow. The
@@ -218,11 +213,10 @@ def _uint32_words(value: int) -> list:
 
 
 @functools.lru_cache(maxsize=8)
-def _seed_chunk(base_seed: int, stream: int, chunk: int) -> tuple:
-    """PCG64 (state, inc) of ``default_rng(SeedSequence((base_seed, stream, i)))``
-    for the 256 indices i of ``chunk``, whose entropy words fill at most the
-    pool: SeedSequence's hash on uint32 arrays, ``generate_state(4, uint64)``,
-    then PCG64's set-seq seeding in Python ints."""
+def _seed_chunk(base_seed: int, stream: int, chunk: int) -> np.ndarray:
+    """``SeedSequence((base_seed, stream, i)).generate_state(4, uint64)`` for
+    the 256 indices i of ``chunk``, whose entropy words fill at most the pool:
+    SeedSequence's hash on uint32 arrays. One read-only row per index."""
     index = np.arange(chunk * _SEED_CHUNK, (chunk + 1) * _SEED_CHUNK, dtype=np.uint64)
     words = [*_uint32_words(base_seed), stream, index & _MASK32]
     if chunk * _SEED_CHUNK > _MASK32:
@@ -230,10 +224,10 @@ def _seed_chunk(base_seed: int, stream: int, chunk: int) -> tuple:
     words += [0] * (_SEED_POOL - len(words))
     hash_const = _HASH_INIT_A
 
-    def hashmix(value):
+    def hashmix(value, mult=_HASH_MULT_A):
         nonlocal hash_const
         value = value ^ hash_const
-        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        hash_const = hash_const * mult & _MASK32
         value = value * hash_const
         return value ^ value >> 16
 
@@ -243,46 +237,48 @@ def _seed_chunk(base_seed: int, stream: int, chunk: int) -> tuple:
             if src != dst:
                 mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
                 pool[dst] = mixed ^ mixed >> 16
+    # generate_state hashes the pool out with constants of its own, 8 uint32
+    # words that pair up into uint64 ones, low word first.
     hash_const = _HASH_INIT_B
-    state = []
-    for k in range(2 * _SEED_POOL):
-        value = pool[k % _SEED_POOL] ^ hash_const
-        hash_const = hash_const * _HASH_MULT_B & _MASK32
-        value = value * hash_const
-        state.append((value ^ value >> 16).astype(np.uint64))
-    seeds = np.array([state[k + 1] << 32 | state[k] for k in range(0, 2 * _SEED_POOL, 2)])
-    table = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in seeds.T.tolist():
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        table.append((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return tuple(table)
+    state = [hashmix(pool[k % _SEED_POOL], _HASH_MULT_B) for k in range(2 * _SEED_POOL)]
+    table = np.stack(state, axis=1, dtype="<u4").view("<u8").astype(np.uint64)
+    table.setflags(write=False)
+    return table
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """One row of a chunk table as PCG64's seed sequence: the 4 uint64 words
+    that PCG64 asks for, and nothing else."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _SEED_POOL or np.dtype(dtype) != np.uint64:
+            raise ValueError("a hashed seed holds 4 uint64 words only")
+        return self.words
 
 
 def _trial_rngs(spec: ExperimentSpec, trial_index: int):
     """The angle and the gain-and-noise generators of a trial, each
-    ``default_rng(SeedSequence((base_seed, tag, trial_index)))``.
+    ``default_rng(SeedSequence((base_seed, tag, trial_index)))``, new per call.
 
-    An int index whose entropy words fit the pool reads both PCG64 states
-    from the chunk tables into this thread's two reused generators. Any
-    other index builds new generators, so it raises what SeedSequence does.
+    An int index whose entropy words fit the pool seeds PCG64 from its rows
+    of the chunk tables. Any other index seeds it from SeedSequence, so it
+    raises what SeedSequence does.
     """
     seed = spec.base_seed
     # (seed, tag, index) fits the pool of 4 words when both are below 2**64
     # and one of them is below 2**32.
     if (type(trial_index) is int and type(seed) is int and 0 <= trial_index
             and min(seed, trial_index) <= _MASK32 and max(seed, trial_index) >> 64 == 0):
-        rngs = getattr(_thread_rngs, "pair", None)
-        if rngs is None:
-            rngs = _thread_rngs.pair = (np.random.Generator(np.random.PCG64(0)),
-                                        np.random.Generator(np.random.PCG64(0)))
         chunk, offset = divmod(trial_index, _SEED_CHUNK)
-        for rng, stream in zip(rngs, (_ANGLE_STREAM, _TRIAL_STREAM)):
-            state, inc = _seed_chunk(seed, stream, chunk)[offset]
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
-        return rngs
-    return tuple(np.random.default_rng(np.random.SeedSequence((seed, stream, trial_index)))
-                 for stream in (_ANGLE_STREAM, _TRIAL_STREAM))
+        seqs = [_HashedSeed(_seed_chunk(seed, stream, chunk)[offset])
+                for stream in (_ANGLE_STREAM, _TRIAL_STREAM)]
+    else:
+        seqs = [np.random.SeedSequence((seed, stream, trial_index))
+                for stream in (_ANGLE_STREAM, _TRIAL_STREAM)]
+    return tuple(np.random.Generator(np.random.PCG64(seq)) for seq in seqs)
 
 
 def draw_realization(spec: ExperimentSpec, trial_index: int

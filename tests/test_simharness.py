@@ -255,12 +255,13 @@ class TestRunTrial:
                               spec.noise_var)
         assert gamma == result.snr_cp
 
-    def test_pilot_side_columns_independent_of_angle_stage(self):
+    @pytest.mark.parametrize("mode", [{}, {"mode": "los", "num_paths": 1}], ids=["multipath", "los"])
+    def test_pilot_side_columns_independent_of_angle_stage(self, mode):
         # An oracle block stops after the pilot noise that an estimated
         # block of the same seed draws too, so the conventional route and
         # the channel are bit-equal between the two.
         estimated, oracle = (collect_trials(ExperimentSpec(num_trials=12, base_seed=17,
-                                                           angle_stage=stage))
+                                                           angle_stage=stage, **mode))
                              for stage in ("estimated", "oracle"))
         for column in ("h_norm_sq", "sq_error_cp", "snr_cp"):
             assert np.array_equal(estimated[column], oracle[column]), column
@@ -292,21 +293,36 @@ class TestTrialStreams:
                            st.integers(2**32, 2**64 - 1), st.just(2**64 + 1)))
     @settings(max_examples=150, deadline=None)
     def test_generators_equal_seedsequence_streams(self, seed, index):
-        # The chunk tables hold SeedSequence's PCG64 states where the entropy
-        # (seed, tag, index) fits its pool of 4 words; past that, and for
-        # larger seeds or indices, the generators are built by SeedSequence.
+        # Where the entropy (seed, tag, index) fits SeedSequence's pool of 4
+        # words, PCG64 reads its seed words from a chunk table row; past that,
+        # and for larger seeds or indices, from SeedSequence itself.
         spec = types.SimpleNamespace(base_seed=seed)
         fits = max(seed, index) < 2**64 and min(seed, index) < 2**32
         for tag, rng, expected in zip((harness._ANGLE_STREAM, harness._TRIAL_STREAM),
                                       harness._trial_rngs(spec, index),
                                       _seeded_rngs(spec, index)):
-            state = expected.bit_generator.state
             if fits:
-                table = harness._seed_chunk(seed, tag, index // 256)
-                assert table[index % 256] == (state["state"]["state"], state["state"]["inc"])
-            assert rng.bit_generator.state == state
+                seq = rng.bit_generator.seed_seq
+                row = seq.generate_state(4, np.uint64)
+                words = np.random.SeedSequence((seed, tag, index)).generate_state(4, np.uint64)
+                # PCG64 reads the row through its data pointer.
+                assert row.dtype == np.uint64 and row.shape == (4,) and row.flags.c_contiguous
+                assert row.tobytes() == words.tobytes()
+                for request in [(4,), (4, np.uint32), (8, np.uint64), (2, np.uint64)]:
+                    with pytest.raises(ValueError):
+                        seq.generate_state(*request)
+            assert rng.bit_generator.state == expected.bit_generator.state
             assert rng.standard_normal(3).tobytes() == expected.standard_normal(3).tobytes()
             assert rng.uniform() == expected.uniform()
+
+    def test_held_generators_keep_their_own_streams(self):
+        # Each call returns new generators: those of trial 0, still held
+        # while trial 1's are built, go on drawing trial 0's streams.
+        spec = types.SimpleNamespace(base_seed=7)
+        first, second = harness._trial_rngs(spec, 0), harness._trial_rngs(spec, 1)
+        for index, rngs in ((0, first), (1, second)):
+            for rng, expected in zip(rngs, _seeded_rngs(spec, index)):
+                assert rng.standard_normal(4).tobytes() == expected.standard_normal(4).tobytes()
 
     @pytest.mark.parametrize("index", [-1, 1.0])
     def test_bad_index_raises_as_seedsequence_does(self, index):
