@@ -64,8 +64,8 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = (1 << 32) - 1
-# Trial indices hashed at once. A table takes 8 kB, and the cache keeps the
-# last 8.
+# Trial indices hashed at once. A table of both streams takes 16 kB, and
+# the cache keeps the last 8.
 _SEED_CHUNK = 256
 
 # Bounds of the transmit SNRs and of a nonzero noise variance, +-300 dB:
@@ -203,24 +203,17 @@ def _trial_dtype(num_paths: int) -> np.dtype:
         ("failed", bool), ("failure_reason", object)]))
 
 
-def _uint32_words(value: int) -> list:
-    """A nonnegative int as SeedSequence takes it: 32-bit words, low first."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
 @functools.lru_cache(maxsize=8)
-def _seed_chunk(base_seed: int, stream: int, chunk: int) -> np.ndarray:
-    """``SeedSequence((base_seed, stream, i)).generate_state(4, uint64)`` for
-    the 256 indices i of ``chunk``, whose entropy words fill at most the pool:
-    SeedSequence's hash on uint32 arrays. One read-only row per index."""
-    index = np.arange(chunk * _SEED_CHUNK, (chunk + 1) * _SEED_CHUNK, dtype=np.uint64)
-    words = [*_uint32_words(base_seed), stream, index & _MASK32]
-    if chunk * _SEED_CHUNK > _MASK32:
-        words.append(index >> 32)
+def _seed_chunk(base_seed: int, chunk: int) -> np.ndarray:
+    """``SeedSequence((base_seed, tag, i)).generate_state(4, uint64)`` for
+    the 256 indices i of ``chunk`` and both stream tags, angle stream first:
+    SeedSequence's hash on uint32 arrays, for a seed below 2**64 and indices
+    below 2**32, whose entropy words fill at most the pool. One read-only
+    (2, 4) block per index."""
+    index = np.arange(chunk * _SEED_CHUNK, (chunk + 1) * _SEED_CHUNK, dtype=np.uint32)
+    seed_words = [base_seed & _MASK32, base_seed >> 32] if base_seed > _MASK32 else [base_seed]
+    # The index column broadcasts against the row of tags: (256, 2) words.
+    words = [*seed_words, (_ANGLE_STREAM, _TRIAL_STREAM), index[:, None]]
     words += [0] * (_SEED_POOL - len(words))
     hash_const = _HASH_INIT_A
 
@@ -231,7 +224,7 @@ def _seed_chunk(base_seed: int, stream: int, chunk: int) -> np.ndarray:
         value = value * hash_const
         return value ^ value >> 16
 
-    pool = [hashmix(np.full(_SEED_CHUNK, word, np.uint32)) for word in words]
+    pool = [hashmix(np.full((_SEED_CHUNK, 2), word, np.uint32)) for word in words]
     for src in range(_SEED_POOL):
         for dst in range(_SEED_POOL):
             if src != dst:
@@ -241,7 +234,7 @@ def _seed_chunk(base_seed: int, stream: int, chunk: int) -> np.ndarray:
     # words that pair up into uint64 ones, low word first.
     hash_const = _HASH_INIT_B
     state = [hashmix(pool[k % _SEED_POOL], _HASH_MULT_B) for k in range(2 * _SEED_POOL)]
-    table = np.stack(state, axis=1, dtype="<u4").view("<u8").astype(np.uint64)
+    table = np.stack(state, axis=-1, dtype="<u4").view("<u8").astype(np.uint64)
     table.setflags(write=False)
     return table
 
@@ -263,21 +256,18 @@ def _trial_rngs(spec: ExperimentSpec, trial_index: int):
     """The angle and the gain-and-noise generators of a trial, each
     ``default_rng(SeedSequence((base_seed, tag, trial_index)))``, new per call.
 
-    An int index whose entropy words fit the pool seeds PCG64 from its rows
-    of the chunk tables. Any other index seeds it from SeedSequence, so it
-    raises what SeedSequence does.
+    A plain int index below 2**32 with a plain int seed below 2**64 seeds
+    PCG64 from its two rows of a chunk table. Any other index or seed seeds it
+    from SeedSequence, so it raises what SeedSequence does.
     """
     seed = spec.base_seed
-    # (seed, tag, index) fits the pool of 4 words when both are below 2**64
-    # and one of them is below 2**32.
-    if (type(trial_index) is int and type(seed) is int and 0 <= trial_index
-            and min(seed, trial_index) <= _MASK32 and max(seed, trial_index) >> 64 == 0):
+    if (type(trial_index) is int and type(seed) is int
+            and 0 <= trial_index <= _MASK32 and 0 <= seed < 1 << 64):
         chunk, offset = divmod(trial_index, _SEED_CHUNK)
-        seqs = [_HashedSeed(_seed_chunk(seed, stream, chunk)[offset])
-                for stream in (_ANGLE_STREAM, _TRIAL_STREAM)]
+        seqs = map(_HashedSeed, _seed_chunk(seed, chunk)[offset])
     else:
-        seqs = [np.random.SeedSequence((seed, stream, trial_index))
-                for stream in (_ANGLE_STREAM, _TRIAL_STREAM)]
+        seqs = (np.random.SeedSequence((seed, stream, trial_index))
+                for stream in (_ANGLE_STREAM, _TRIAL_STREAM))
     return tuple(np.random.Generator(np.random.PCG64(seq)) for seq in seqs)
 
 

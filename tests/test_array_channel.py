@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import issacsim.array_channel as array_channel
 from issacsim.array_channel import (
     AnglePolicy,
     PathSet,
@@ -19,6 +20,7 @@ from issacsim.array_channel import (
     steering_matrix,
     synthesize_channel,
 )
+from issacsim.errors import SpecError
 
 angles_inside = st.floats(min_value=-89.9, max_value=89.9).map(np.deg2rad)
 
@@ -147,25 +149,35 @@ class TestPathSampling:
             assert np.all(np.diff(np.sin(angles)) >= np.sin(np.deg2rad(5.0)))
 
     def test_unsatisfiable_separation_raises(self):
-        # 20 gaps of sin 5 deg overfill the sine range 2 sin 60 deg = 1.732;
-        # too many paths is a bad input (ValueError), not an estimation failure
-        with pytest.raises(ValueError, match="infeasible"):
-            sample_angles(21, np.random.default_rng(0))
+        # A draw of 8 angles meets the separation in 3% of cases, so 500
+        # draws give up with probability 1.8e-7: too many paths is a bad
+        # input (ValueError), not an estimation failure
+        for num_paths in (8, 21):
+            with pytest.raises(ValueError, match=f"at most 7 paths, got {num_paths}"):
+                sample_angles(num_paths, np.random.default_rng(0))
 
     def test_check_paths_rejects_what_no_draw_can_meet(self):
         AnglePolicy(fixed=(0.1, -0.2)).check_paths(2)
         with pytest.raises(ValueError, match="policy fixes 2 angles but 3 paths"):
             AnglePolicy(fixed=(0.1, -0.2)).check_paths(3)
-        AnglePolicy().check_paths(20)
-        with pytest.raises(ValueError, match="do not fit in the sine range"):
-            AnglePolicy().check_paths(21)
+        AnglePolicy().check_paths(7)
+        for num_paths in (8, 9, 21):
+            with pytest.raises(SpecError, match=f"random angles take at most 7 paths, "
+                                                f"got {num_paths}: draws of more paths"):
+                AnglePolicy().check_paths(num_paths)
+        # A fixed list takes no draw, so the cap leaves it alone.
+        AnglePolicy(fixed=tuple(np.linspace(-1.0, 1.0, 21))).check_paths(21)
 
-    def test_tight_separation_left_to_the_draws(self):
-        # 19 gaps of sin 5 deg = 1.656 fit in the sine range 1.732, so 20
-        # paths pass check_paths; the rejection draws still give up on them
-        AnglePolicy().check_paths(20)
-        with pytest.raises(ValueError, match="could not draw 20 angles"):
-            sample_angles(20, np.random.default_rng(0))
+    def test_tight_separation_left_to_the_draws(self, monkeypatch):
+        # 7 paths pass check_paths and their draws meet the separation; the
+        # draws still give up, with ValueError, when no attempt does.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            angles = sample_angles(7, rng)
+            assert np.all(np.diff(np.sin(angles)) >= np.sin(np.deg2rad(5.0)))
+        monkeypatch.setattr(array_channel, "_MAX_ANGLE_DRAWS", 1)
+        with pytest.raises(ValueError, match="could not draw 7 angles .* in 1 attempts$"):
+            sample_angles(7, np.random.default_rng(0))
 
     def test_fixed_policy_bypasses_draw(self):
         policy = AnglePolicy(fixed=(0.1, -0.2))

@@ -504,16 +504,33 @@ class TestCdfCommand:
         assert code == 2
         assert "num_trials" in capsys.readouterr().err
 
-    def test_infeasible_min_separation_exits_2(self, tmp_path, capsys):
-        # 20 gaps of sin 5 deg overfill the sine range of (-60, 60) deg.
-        cfg_path = _write(tmp_path, "run.cfg", "m = 64\nl = 21\n")
-        code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
-                     "--trials", "1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: l = '21': 21 angles with sine separation >= 0.0872 "
-                              "do not fit in the sine range 1.7321")
-        assert err.count("\n") == 1
+    def test_infeasible_min_separation_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A draw of 8 or more random angles meets the sine separation too
+        # rarely for its 500 attempts, so the spec stops before any trial.
+        def no_trials(spec, trial_index):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        for num_paths in (8, 21):
+            cfg_path = _write(tmp_path, "run.cfg",
+                              f"m = 64\nl = {num_paths}\nangle_stage = oracle\n")
+            code = main(["cdf", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                         "--trials", "2000"])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: l = '{num_paths}': random angles take at most 7 paths, got "
+                f"{num_paths}: draws of more paths too rarely meet the sine separation "
+                f">= 0.0872 within 500 tries\n")
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_fixed_angles_take_more_paths_than_random_ones(self, tmp_path):
+        # The cap on random paths leaves a fixed angles_deg list alone.
+        angles = ", ".join(str(angle) for angle in range(-56, 57, 16))
+        cfg_path = _write(tmp_path, "run.cfg",
+                          f"m = 64\nl = 8\nangles_deg = {angles}\nangle_stage = oracle\n")
+        out = tmp_path / "x.csv"
+        assert main(["cdf", "--config", cfg_path, "--out", str(out), "--trials", "2"]) == 0
+        assert len(_read_csv(out)[1]) == 2
 
     @pytest.mark.parametrize("text", ["angle_stage = oracle\n", ""],
                              ids=["oracle_spec_build", "estimated_grid"])

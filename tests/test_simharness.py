@@ -41,7 +41,7 @@ SPEC_REJECTIONS = [
     ({"pilot_len": 2.5}, ["pilot_len", "data_len"]),
     ({"num_paths": 0}, ["num_paths"]),
     ({"angle_policy": AnglePolicy(fixed=(0.1,))}, ["num_paths", "angle_policy"]),
-    # 20 gaps of sin 5 deg do not fit in the sine range of (-60, 60) deg.
+    # Random angles take at most 7 paths.
     ({"num_paths": 21, "num_antennas": 64}, ["num_paths"]),
     ({"num_antennas": 4}, ["num_antennas", "num_paths"]),
     # 4 grid points hold at most one interior local maximum, not 3 peaks
@@ -56,6 +56,8 @@ SPEC_REJECTIONS = [
     ({"data_pow": 2e30}, ["data_pow"]),
     ({"noise_var": 0.0, "data_pow": 1e31}, ["data_pow"]),
     ({"noise_var": 1e10, "pilot_pow": 1e-21}, ["pilot_pow"]),
+    # The first count past the cap, also for oracle angles.
+    ({"num_paths": 8, "num_antennas": 64, "angle_stage": "oracle"}, ["num_paths"]),
 ]
 
 FIXED_ANGLES = AnglePolicy(fixed=tuple(np.deg2rad([-30.0, 0.0, 30.0])))
@@ -293,14 +295,14 @@ class TestTrialStreams:
                            st.integers(2**32, 2**64 - 1), st.just(2**64 + 1)))
     @settings(max_examples=150, deadline=None)
     def test_generators_equal_seedsequence_streams(self, seed, index):
-        # Where the entropy (seed, tag, index) fits SeedSequence's pool of 4
-        # words, PCG64 reads its seed words from a chunk table row; past that,
-        # and for larger seeds or indices, from SeedSequence itself.
+        # A seed below 2**64 with an index below 2**32 gives PCG64 its seed
+        # words from a row of the chunk table of both streams; a larger seed
+        # or index, from SeedSequence itself.
         spec = types.SimpleNamespace(base_seed=seed)
-        fits = max(seed, index) < 2**64 and min(seed, index) < 2**32
-        for tag, rng, expected in zip((harness._ANGLE_STREAM, harness._TRIAL_STREAM),
-                                      harness._trial_rngs(spec, index),
-                                      _seeded_rngs(spec, index)):
+        fits = 0 <= seed < 2**64 and index < 2**32
+        for stream, (tag, rng, expected) in enumerate(zip(
+                (harness._ANGLE_STREAM, harness._TRIAL_STREAM),
+                harness._trial_rngs(spec, index), _seeded_rngs(spec, index))):
             if fits:
                 seq = rng.bit_generator.seed_seq
                 row = seq.generate_state(4, np.uint64)
@@ -308,6 +310,11 @@ class TestTrialStreams:
                 # PCG64 reads the row through its data pointer.
                 assert row.dtype == np.uint64 and row.shape == (4,) and row.flags.c_contiguous
                 assert row.tobytes() == words.tobytes()
+                chunk, offset = divmod(index, harness._SEED_CHUNK)
+                table = harness._seed_chunk(seed, chunk)
+                assert table.shape == (harness._SEED_CHUNK, 2, 4) and table.flags.c_contiguous
+                assert not table.flags.writeable
+                assert table[offset, stream].tobytes() == words.tobytes()
                 for request in [(4,), (4, np.uint32), (8, np.uint64), (2, np.uint64)]:
                     with pytest.raises(ValueError):
                         seq.generate_state(*request)
@@ -331,6 +338,14 @@ class TestTrialStreams:
             np.random.SeedSequence((spec.base_seed, harness._ANGLE_STREAM, index))
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             run_trial(spec, index)
+
+    def test_negative_seed_raises_as_seedsequence_does(self):
+        # A seed that bypasses ExperimentSpec's check is not hashed as its
+        # low 32 bits: it gets SeedSequence's error.
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence((-5, harness._ANGLE_STREAM, 0))
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            harness._trial_rngs(types.SimpleNamespace(base_seed=-5), 0)
 
     def test_numpy_integer_index_is_its_int(self):
         spec = ExperimentSpec(num_trials=1, mode="los", num_paths=1, base_seed=7)
